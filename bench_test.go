@@ -123,7 +123,7 @@ func BenchmarkGraphParallel(b *testing.B) {
 				geohash.Base32[(i/32)%32],
 				geohash.Base32[(i/1024)%32],
 			})
-			keys = append(keys, cell.Key{Geohash: gh, Time: day})
+			keys = append(keys, cell.Key{Geohash: geohash.MustPack(gh), Time: day})
 		}
 		return keys
 	}
@@ -164,7 +164,7 @@ func BenchmarkGraphParallel(b *testing.B) {
 						}
 						g.Put(res)
 					} else {
-						g.Get(batch)
+						g.GetBatch(batch)
 					}
 				}
 			})

@@ -453,14 +453,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for key, sum := range res.Cells {
-		box, err := stash.DecodeGeohash(key.Geohash)
-		if err != nil {
-			continue
-		}
-		lat, lon := box.Center()
+		lat, lon := key.Box().Center()
 		cr := CellResponse{
-			Geohash: key.Geohash,
-			Time:    key.Time.Text,
+			Geohash: key.Geohash.String(),
+			Time:    key.Time.String(),
 			Lat:     lat,
 			Lon:     lon,
 			Stats:   map[string]StatBlock{},
@@ -798,7 +794,7 @@ func hotEntries(entries []obs.TopEntry[cell.Key]) []HotKeyEntry {
 	}
 	out := make([]HotKeyEntry, len(entries))
 	for i, e := range entries {
-		out[i] = HotKeyEntry{Geohash: e.Key.Geohash, Time: e.Key.Time.Text, Count: e.Count, Err: e.Err}
+		out[i] = HotKeyEntry{Geohash: e.Key.Geohash.String(), Time: e.Key.Time.String(), Count: e.Count, Err: e.Err}
 	}
 	return out
 }

@@ -182,11 +182,7 @@ func startSelfContained() string {
 		var out queryResponse
 		out.LatencyMS = float64(time.Since(begin).Microseconds()) / 1000
 		for key, sum := range res.Cells {
-			box, err := stash.DecodeGeohash(key.Geohash)
-			if err != nil {
-				continue
-			}
-			lat, lon := box.Center()
+			lat, lon := key.Box().Center()
 			cellOut := struct {
 				Geohash string  `json:"geohash"`
 				Lat     float64 `json:"lat"`
@@ -195,7 +191,7 @@ func startSelfContained() string {
 					Count int64   `json:"count"`
 					Mean  float64 `json:"mean"`
 				} `json:"stats"`
-			}{Geohash: key.Geohash, Lat: lat, Lon: lon, Stats: map[string]struct {
+			}{Geohash: key.Geohash.String(), Lat: lat, Lon: lon, Stats: map[string]struct {
 				Count int64   `json:"count"`
 				Mean  float64 `json:"mean"`
 			}{}}

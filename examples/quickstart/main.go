@@ -58,8 +58,8 @@ func main() {
 	// Inspect one cell's temperature aggregate.
 	for key, sum := range res.Cells {
 		st := sum.Stats["temperature"]
-		fmt.Printf("cell %s @ %s: n=%d mean=%.1f°C min=%.1f max=%.1f\n",
-			key.Geohash, key.Time.Text, st.Count, st.Mean(), st.Min, st.Max)
+		fmt.Printf("cell %v @ %v: n=%d mean=%.1f°C min=%.1f max=%.1f\n",
+			key.Geohash, key.Time, st.Count, st.Mean(), st.Min, st.Max)
 		break
 	}
 

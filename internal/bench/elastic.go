@@ -132,7 +132,7 @@ func runExtElastic(opts Options) (Report, elasticOutcome, error) {
 			}
 		}
 		if mode == "cold" {
-			parts := make(map[string]bool)
+			parts := make(map[geohash.Hash]bool)
 			for _, p := range newRing.PartitionsOf(joined) {
 				parts[p] = true
 			}

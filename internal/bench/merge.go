@@ -8,6 +8,7 @@ import (
 
 	"stash/internal/cell"
 	"stash/internal/cluster"
+	"stash/internal/geohash"
 	"stash/internal/query"
 	"stash/internal/temporal"
 )
@@ -99,7 +100,7 @@ func mergeAllocsPerOp(parts []query.Result, reps int) float64 {
 // mergeParts builds node-reply-shaped results: width results of keysPerPart
 // cells drawn from a shared key universe.
 func mergeParts(rng *rand.Rand, width, keysPerPart, universe int) []query.Result {
-	day := temporal.Label{Res: temporal.Day, Text: "2015-02-01"}
+	day := temporal.MustParse("2015-02-01", temporal.Day)
 	parts := make([]query.Result, width)
 	for p := range parts {
 		parts[p] = query.NewResult()
@@ -108,7 +109,7 @@ func mergeParts(rng *rand.Rand, width, keysPerPart, universe int) []query.Result
 			s.Observe("temperature", rng.NormFloat64()*30)
 			s.Observe("humidity", rng.Float64()*100)
 			s.Observe("precipitation", rng.Float64()*10)
-			k := cell.Key{Geohash: fmt.Sprintf("9q%05d", rng.Intn(universe)), Time: day}
+			k := cell.Key{Geohash: geohash.MustPack(fmt.Sprintf("9q%05d", rng.Intn(universe))), Time: day}
 			parts[p].Add(k, s)
 		}
 	}

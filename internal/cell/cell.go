@@ -31,26 +31,38 @@ const MaxSpatialPrecision = 8
 // ErrBadKey reports a malformed cell key.
 var ErrBadKey = errors.New("cell: bad key")
 
-// Key identifies a Cell: a spatial label (Geohash, whose length is the
-// spatial resolution) and a temporal label (whose Res is the temporal
-// resolution).
+// Key identifies a Cell: a spatial label (a packed geohash, whose length is
+// the spatial resolution) and a temporal label (whose Res is the temporal
+// resolution). It is 16 bytes, pointer-free and comparable, so hashing,
+// comparing and copying a key never touches text; the whole edge algebra
+// below is integer work on the two labels. The zero Key is not a valid cell,
+// which lets key tables use it as their empty slot.
 type Key struct {
-	Geohash string
+	Geohash geohash.Hash
 	Time    temporal.Label
 }
 
-// NewKey validates and builds a cell key.
+// NewKey validates and builds a cell key from geohash text.
 func NewKey(gh string, t temporal.Label) (Key, error) {
-	if err := geohash.Validate(gh); err != nil {
+	h, err := geohash.Pack(gh)
+	if err != nil {
 		return Key{}, fmt.Errorf("%w: %v", ErrBadKey, err)
 	}
-	if len(gh) > MaxSpatialPrecision {
-		return Key{}, fmt.Errorf("%w: geohash %q exceeds max precision %d", ErrBadKey, gh, MaxSpatialPrecision)
+	return KeyOf(h, t)
+}
+
+// KeyOf validates and builds a cell key from a packed geohash.
+func KeyOf(h geohash.Hash, t temporal.Label) (Key, error) {
+	if !h.Valid() {
+		return Key{}, fmt.Errorf("%w: geohash %#x", ErrBadKey, uint64(h))
+	}
+	if h.Len() > MaxSpatialPrecision {
+		return Key{}, fmt.Errorf("%w: geohash %v exceeds max precision %d", ErrBadKey, h, MaxSpatialPrecision)
 	}
 	if !t.Valid() {
-		return Key{}, fmt.Errorf("%w: temporal label %q at %v", ErrBadKey, t.Text, t.Res)
+		return Key{}, fmt.Errorf("%w: temporal label %v at %v", ErrBadKey, t, t.Res)
 	}
-	return Key{Geohash: gh, Time: t}, nil
+	return Key{Geohash: h, Time: t}, nil
 }
 
 // MustKey is NewKey for known-good literals; it panics on error.
@@ -63,7 +75,7 @@ func MustKey(gh, timeText string, r temporal.Resolution) Key {
 }
 
 // SpatialRes returns the cell's spatial resolution (geohash length).
-func (k Key) SpatialRes() int { return len(k.Geohash) }
+func (k Key) SpatialRes() int { return k.Geohash.Len() }
 
 // TemporalRes returns the cell's temporal resolution.
 func (k Key) TemporalRes() temporal.Resolution { return k.Time.Res }
@@ -74,31 +86,51 @@ func (k Key) TemporalRes() temporal.Resolution { return k.Time.Res }
 // row stride wide enough to keep every (spatial, temporal) pair on a distinct
 // level: level = n_j*MaxSpatialPrecision + n_i.
 func (k Key) Level() int {
-	return int(k.Time.Res)*MaxSpatialPrecision + (len(k.Geohash) - 1)
+	return int(k.Time.Res)*MaxSpatialPrecision + (k.Geohash.Len() - 1)
 }
 
 // NumLevels is the count of distinct hierarchy levels.
 const NumLevels = temporal.NumResolutions * MaxSpatialPrecision
 
+// Hash mixes the key's two 64-bit halves (packed geohash; resolution and
+// bucket) through a splitmix64-style finalizer, so tables that mask off the
+// low bits — graph stripes, open-addressing indexes — see every input bit.
+func (k Key) Hash() uint64 {
+	h := uint64(k.Geohash) ^ (uint64(uint32(k.Time.Bucket))<<8|uint64(uint8(k.Time.Res)))*0x9e3779b97f4a7c15
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// String prints the key's text form, "geohash@label".
 func (k Key) String() string {
-	return fmt.Sprintf("%s@%s", k.Geohash, k.Time.Text)
+	var buf [40]byte
+	return string(k.Time.AppendText(append(k.Geohash.AppendText(buf[:0]), '@')))
+}
+
+// Less orders keys by geohash, then chronologically (coarser label first):
+// the order of their text, which keeps exports and diffs stable.
+func (k Key) Less(o Key) bool {
+	if k.Geohash != o.Geohash {
+		return k.Geohash < o.Geohash
+	}
+	return k.Time.Compare(o.Time) < 0
 }
 
 // Box returns the cell's spatial bounding box.
-func (k Key) Box() (geohash.Box, error) { return geohash.DecodeBox(k.Geohash) }
+func (k Key) Box() geohash.Box { return k.Geohash.Box() }
 
 // SpatialNeighbors returns the keys of the up-to-8 laterally adjacent cells
-// in space (same resolutions, adjacent geohashes).
-func (k Key) SpatialNeighbors() ([]Key, error) {
-	ghs, err := geohash.Neighbors(k.Geohash)
-	if err != nil {
-		return nil, err
+// in space (same resolutions, adjacent geohashes), clockwise from north.
+func (k Key) SpatialNeighbors() []Key {
+	var ns [8]geohash.Hash
+	out := make([]Key, k.Geohash.Neighbors(&ns))
+	for i := range out {
+		out[i] = Key{Geohash: ns[i], Time: k.Time}
 	}
-	out := make([]Key, len(ghs))
-	for i, g := range ghs {
-		out[i] = Key{Geohash: g, Time: k.Time}
-	}
-	return out, nil
+	return out
 }
 
 // TemporalNeighbors returns the two laterally adjacent cells in time
@@ -118,15 +150,11 @@ func (k Key) TemporalNeighbors() ([]Key, error) {
 // LateralNeighbors returns the full lateral edge set of the cell: spatial
 // neighbors followed by temporal neighbors (paper Fig. 1).
 func (k Key) LateralNeighbors() ([]Key, error) {
-	sp, err := k.SpatialNeighbors()
-	if err != nil {
-		return nil, err
-	}
 	tp, err := k.TemporalNeighbors()
 	if err != nil {
 		return nil, err
 	}
-	return append(sp, tp...), nil
+	return append(k.SpatialNeighbors(), tp...), nil
 }
 
 // Parents returns the cell's hierarchical parents. Per the paper (§IV-B) a
@@ -134,7 +162,7 @@ func (k Key) LateralNeighbors() ([]Key, error) {
 // in time, and one step coarser in both.
 func (k Key) Parents() []Key {
 	var out []Key
-	sp, hasSpatial := geohash.Parent(k.Geohash)
+	sp, hasSpatial := k.Geohash.Parent()
 	tp, hasTemporal := k.Time.Parent()
 	if hasSpatial {
 		out = append(out, Key{Geohash: sp, Time: k.Time})
@@ -151,13 +179,12 @@ func (k Key) Parents() []Key {
 // SpatialChildren returns the 32 cells one spatial resolution finer. ok is
 // false at the maximum spatial precision.
 func (k Key) SpatialChildren() ([]Key, bool) {
-	if len(k.Geohash) >= MaxSpatialPrecision {
+	if k.Geohash.Len() >= MaxSpatialPrecision {
 		return nil, false
 	}
-	ghs := geohash.Children(k.Geohash)
-	out := make([]Key, len(ghs))
-	for i, g := range ghs {
-		out[i] = Key{Geohash: g, Time: k.Time}
+	out := make([]Key, geohash.BranchFactor)
+	for i := range out {
+		out[i] = Key{Geohash: k.Geohash.Child(i), Time: k.Time}
 	}
 	return out, true
 }
@@ -165,13 +192,13 @@ func (k Key) SpatialChildren() ([]Key, bool) {
 // TemporalChildren returns the cells one temporal resolution finer. ok is
 // false at the finest temporal resolution.
 func (k Key) TemporalChildren() ([]Key, bool) {
-	ls, ok := k.Time.Children()
+	first, n, ok := k.Time.ChildRange()
 	if !ok {
 		return nil, false
 	}
-	out := make([]Key, len(ls))
-	for i, l := range ls {
-		out[i] = Key{Geohash: k.Geohash, Time: l}
+	out := make([]Key, n)
+	for i := range out {
+		out[i] = Key{Geohash: k.Geohash, Time: temporal.Label{Res: first.Res, Bucket: first.Bucket + int32(i)}}
 	}
 	return out, true
 }
@@ -197,20 +224,7 @@ func (k Key) Children() []Key {
 // Encloses reports whether k's spatiotemporal bounds fully contain o's
 // (the hierarchical-edge containment property, paper §IV).
 func (k Key) Encloses(o Key) bool {
-	if k.Geohash != o.Geohash && !geohash.IsAncestor(k.Geohash, o.Geohash) {
-		return false
-	}
-	ks, err := k.Time.Start()
-	if err != nil {
-		return false
-	}
-	ke, _ := k.Time.End()
-	os, err := o.Time.Start()
-	if err != nil {
-		return false
-	}
-	oe, _ := o.Time.End()
-	return !os.Before(ks) && !oe.After(ke)
+	return o.Geohash.HasPrefix(k.Geohash) && k.Time.Encloses(o.Time)
 }
 
 // Stat is a mergeable aggregate over one observed attribute.

@@ -2,9 +2,13 @@ package cell
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"stash/internal/geohash"
 	"stash/internal/temporal"
 )
 
@@ -24,7 +28,7 @@ func TestNewKeyValidation(t *testing.T) {
 	if _, err := NewKey("9q8y7aaaa", temporal.MustParse("2015-03", temporal.Month)); err == nil {
 		t.Error("over-long geohash accepted")
 	}
-	if _, err := NewKey("9q8y7", temporal.Label{Res: temporal.Month, Text: "bogus"}); err == nil {
+	if _, err := NewKey("9q8y7", temporal.Label{Res: temporal.Month, Bucket: 10000 * 12}); err == nil {
 		t.Error("invalid temporal label accepted")
 	}
 	k, err := NewKey("9q8y7", temporal.MustParse("2015-03", temporal.Month))
@@ -54,9 +58,7 @@ func TestLevelDistinctPerResolutionPair(t *testing.T) {
 		gh := ""
 		for p := 1; p <= MaxSpatialPrecision; p++ {
 			gh += "9"
-			k := Key{Geohash: gh, Time: temporal.MustParse("2015", temporal.Year)}
-			k.Time.Res = res // resolution is what Level reads
-			lvl := Key{Geohash: gh, Time: temporal.Label{Res: res, Text: ""}}.Level()
+			lvl := Key{Geohash: geohash.MustPack(gh), Time: temporal.Label{Res: res}}.Level()
 			label := string(rune('a'+int(res))) + gh
 			if prev, dup := seen[lvl]; dup {
 				t.Fatalf("level collision: %q and %q both map to %d", prev, label, lvl)
@@ -65,7 +67,6 @@ func TestLevelDistinctPerResolutionPair(t *testing.T) {
 			if lvl < 0 || lvl >= NumLevels {
 				t.Fatalf("level %d out of range [0,%d)", lvl, NumLevels)
 			}
-			_ = k
 		}
 	}
 }
@@ -86,10 +87,7 @@ func TestLevelOrdering(t *testing.T) {
 // 2015-03 has 8 spatial neighbors and temporal neighbors 2015-02/2015-04.
 func TestPaperLateralEdges(t *testing.T) {
 	k := key(t, "9q8y7", "2015-03", temporal.Month)
-	sp, err := k.SpatialNeighbors()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := k.SpatialNeighbors()
 	if len(sp) != 8 {
 		t.Errorf("spatial neighbors = %d, want 8", len(sp))
 	}
@@ -102,7 +100,7 @@ func TestPaperLateralEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tp) != 2 || tp[0].Time.Text != "2015-02" || tp[1].Time.Text != "2015-04" {
+	if len(tp) != 2 || tp[0].Time.String() != "2015-02" || tp[1].Time.String() != "2015-04" {
 		t.Errorf("temporal neighbors = %v", tp)
 	}
 	all, err := k.LateralNeighbors()
@@ -125,11 +123,11 @@ func TestThreeParents(t *testing.T) {
 	var haveSpatial, haveTemporal, haveBoth bool
 	for _, p := range ps {
 		switch {
-		case p.Geohash == "9q8y" && p.Time.Text == "2015-03":
+		case p.String() == "9q8y@2015-03":
 			haveSpatial = true
-		case p.Geohash == "9q8y7" && p.Time.Text == "2015":
+		case p.String() == "9q8y7@2015":
 			haveTemporal = true
-		case p.Geohash == "9q8y" && p.Time.Text == "2015":
+		case p.String() == "9q8y@2015":
 			haveBoth = true
 		}
 		if !p.Encloses(k) {
@@ -163,7 +161,7 @@ func TestSpatialChildren(t *testing.T) {
 			t.Errorf("child %v escapes parent %v", c, k)
 		}
 	}
-	deep := Key{Geohash: "12345678", Time: temporal.MustParse("2015", temporal.Year)}
+	deep := key(t, "12345678", "2015", temporal.Year)
 	if _, ok := deep.SpatialChildren(); ok {
 		t.Error("max-precision cell should have no spatial children")
 	}
@@ -461,6 +459,90 @@ func BenchmarkKeyChildren(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := k.Children(); len(got) == 0 {
 			b.Fatal("no children")
+		}
+	}
+}
+
+// textKey is a cell key as the two strings it used to be, with the
+// containment test written the way it was on text: geohash prefix, then a
+// comparison of parsed time spans.
+type textKey struct{ gh, label string }
+
+func (k Key) text() textKey { return textKey{k.Geohash.String(), k.Time.String()} }
+
+func textEncloses(t *testing.T, k, o Key) bool {
+	a, b := k.text(), o.text()
+	if !strings.HasPrefix(b.gh, a.gh) {
+		return false
+	}
+	ks, _ := k.Time.Start()
+	ke, _ := k.Time.End()
+	os, _ := o.Time.Start()
+	oe, _ := o.Time.End()
+	return !os.Before(ks) && !oe.After(ke)
+}
+
+// TestKeyAlgebraMatchesText holds the integer key algebra to its text on
+// seeded random keys over precisions 1-8 and all four resolutions: the
+// printed form, the level, the order, containment, and every parent and
+// child relation.
+func TestKeyAlgebraMatchesText(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomKey := func() Key {
+		ts := time.Date(1990+rng.Intn(40), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), rng.Intn(24), 0, 0, 0, time.UTC)
+		k, err := KeyOf(
+			geohash.EncodeHash(-90+180*rng.Float64(), -180+360*rng.Float64(), 1+rng.Intn(MaxSpatialPrecision)),
+			temporal.At(ts, temporal.Resolution(rng.Intn(temporal.NumResolutions))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	var keys []Key
+	for i := 0; i < 400; i++ {
+		k := randomKey()
+		keys = append(keys, k)
+		tk := k.text()
+		if k.String() != tk.gh+"@"+tk.label {
+			t.Fatalf("String = %q, labels are %q and %q", k, tk.gh, tk.label)
+		}
+		if back, err := NewKey(tk.gh, temporal.MustParse(tk.label, k.Time.Res)); err != nil || back != k {
+			t.Fatalf("NewKey(%q, %q) = %v, %v; want %v", tk.gh, tk.label, back, err, k)
+		}
+		if want := int(k.Time.Res)*MaxSpatialPrecision + len(tk.gh) - 1; k.Level() != want {
+			t.Fatalf("%v: Level = %d, want %d", k, k.Level(), want)
+		}
+		// Relatives: parents enclose, children are enclosed, and each is one
+		// level step away in the right direction.
+		for _, p := range k.Parents() {
+			if !p.Encloses(k) || k.Encloses(p) || !textEncloses(t, p, k) || p.Level() >= k.Level() {
+				t.Fatalf("parent %v of %v does not enclose it", p, k)
+			}
+			keys = append(keys, p)
+		}
+		if sc, ok := k.SpatialChildren(); ok {
+			c := sc[rng.Intn(len(sc))]
+			if !k.Encloses(c) || !textEncloses(t, k, c) || c.text().gh[:len(tk.gh)] != tk.gh || c.Level() != k.Level()+1 {
+				t.Fatalf("spatial child %v of %v", c, k)
+			}
+			keys = append(keys, c)
+		}
+		if tc, ok := k.TemporalChildren(); ok {
+			c := tc[rng.Intn(len(tc))]
+			if !k.Encloses(c) || !textEncloses(t, k, c) || !strings.HasPrefix(c.text().label, tk.label) {
+				t.Fatalf("temporal child %v of %v", c, k)
+			}
+			keys = append(keys, c)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
+		if got, want := a.Encloses(b), textEncloses(t, a, b); got != want {
+			t.Fatalf("%v.Encloses(%v) = %v, on text %v", a, b, got, want)
+		}
+		ta, tb := a.text(), b.text()
+		if got, want := a.Less(b), ta.gh < tb.gh || ta.gh == tb.gh && ta.label < tb.label; got != want {
+			t.Fatalf("%v.Less(%v) = %v, text order says %v", a, b, got, want)
 		}
 	}
 }

@@ -205,7 +205,7 @@ func TestPartialResultOneNodeCrashed(t *testing.T) {
 	// unaccounted for.
 	exclusive := 0
 	for _, k := range byNode[victim] {
-		if len(k.Geohash) >= c.Ring().PrefixLen() {
+		if k.Geohash.Len() >= c.Ring().PrefixLen() {
 			exclusive++
 		}
 	}

@@ -570,7 +570,7 @@ func (cl *Client) scatterFetch(ctx context.Context, n *Node, keys []cell.Key, rc
 		if ctx.Err() != nil {
 			break
 		}
-		if len(k.Geohash) >= plen {
+		if k.Geohash.Len() >= plen {
 			mScatterRequests.Inc()
 			prof.AddScatter(1)
 			r, err := cl.submitOnce(ctx, n, []cell.Key{k}, rc)
@@ -647,19 +647,10 @@ func (cl *Client) scatterFetch(ctx context.Context, n *Node, keys []cell.Key, rc
 
 // partitionPrefixes enumerates the partition-prefix geohashes extending a
 // coarse geohash that the given node owns.
-func (cl *Client) partitionPrefixes(gh string, id dht.NodeID) []string {
+func (cl *Client) partitionPrefixes(gh geohash.Hash, id dht.NodeID) []geohash.Hash {
 	ring := cl.cluster.Ring()
-	plen := ring.PrefixLen()
-	prefixes := []string{gh}
-	for len(prefixes) > 0 && len(prefixes[0]) < plen {
-		var next []string
-		for _, p := range prefixes {
-			next = append(next, geohash.Children(p)...)
-		}
-		prefixes = next
-	}
-	var out []string
-	for _, p := range prefixes {
+	var out []geohash.Hash
+	for _, p := range gh.Extensions(ring.PrefixLen()) {
 		if ring.OwnerOfPartition(p) == id {
 			out = append(out, p)
 		}
@@ -681,9 +672,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // seedFromGeohash derives a deterministic RNG seed from a geohash so every
 // client walks the same helper-candidate sequence for the same share.
-func seedFromGeohash(gh string) int64 {
+func seedFromGeohash(gh geohash.Hash) int64 {
+	var buf [16]byte
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(gh))
+	_, _ = h.Write(gh.AppendText(buf[:0]))
 	return int64(h.Sum64())
 }
 
@@ -713,23 +705,15 @@ func (cl *Client) groupByOwner(ring *dht.Ring, keys []cell.Key) map[dht.NodeID][
 			continue
 		}
 		seenKey[k] = struct{}{}
-		if len(k.Geohash) >= plen {
+		if k.Geohash.Len() >= plen {
 			id := ring.Owner(k.Geohash)
 			out[id] = append(out[id], k)
 			continue
 		}
 		// Coarse key: fan out to every owner of an extending partition,
 		// deduplicating per node.
-		prefixes := []string{k.Geohash}
-		for len(prefixes[0]) < plen {
-			var next []string
-			for _, p := range prefixes {
-				next = append(next, geohash.Children(p)...)
-			}
-			prefixes = next
-		}
 		seen := map[dht.NodeID]bool{}
-		for _, p := range prefixes {
+		for _, p := range k.Geohash.Extensions(plen) {
 			id := ring.OwnerOfPartition(p)
 			if !seen[id] {
 				seen[id] = true

@@ -474,7 +474,7 @@ func TestInvalidateBlockForcesRecompute(t *testing.T) {
 	day := temporal.MustParse("2015-02-02", temporal.Day)
 	prefixes := map[string]bool{}
 	for _, k := range keys {
-		prefixes[k.Geohash[:3]] = true
+		prefixes[k.Geohash.Prefix(3).String()] = true
 	}
 	for p := range prefixes {
 		c.InvalidateBlock(p, day)
@@ -521,7 +521,7 @@ func TestUpdateBlockServesNewData(t *testing.T) {
 	day := temporal.MustParse("2015-02-02", temporal.Day)
 	prefixes := map[string]bool{}
 	for _, k := range keys {
-		prefixes[k.Geohash[:3]] = true
+		prefixes[k.Geohash.Prefix(3).String()] = true
 	}
 	for p := range prefixes {
 		c.UpdateBlock(p, day)

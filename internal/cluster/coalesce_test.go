@@ -421,7 +421,8 @@ func TestCoalesceKeepsHierarchyLevelsApart(t *testing.T) {
 	// and keep only those this node owns.
 	coarseSet := map[cell.Key]struct{}{}
 	for _, k := range fineKeys {
-		ck := cell.Key{Geohash: k.Geohash[:len(k.Geohash)-1], Time: k.Time}
+		parent, _ := k.Geohash.Parent()
+		ck := cell.Key{Geohash: parent, Time: k.Time}
 		coarseSet[ck] = struct{}{}
 	}
 	var coarseKeys []cell.Key

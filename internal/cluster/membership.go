@@ -29,6 +29,7 @@ import (
 
 	"stash/internal/cell"
 	"stash/internal/dht"
+	"stash/internal/geohash"
 	"stash/internal/obs"
 	"stash/internal/query"
 	"stash/internal/replication"
@@ -212,14 +213,14 @@ func (c *Cluster) rebalance(next *dht.View, moves []dht.Move, desc string) {
 	start := time.Now()
 	plen := c.Ring().PrefixLen()
 
-	movedByFrom := map[dht.NodeID]map[string]bool{}
-	changedByNode := map[dht.NodeID]map[string]bool{}
-	destOwner := map[string]dht.NodeID{}
-	movedSet := map[string]bool{}
-	mark := func(byNode map[dht.NodeID]map[string]bool, id dht.NodeID, p string) {
+	movedByFrom := map[dht.NodeID]map[geohash.Hash]bool{}
+	changedByNode := map[dht.NodeID]map[geohash.Hash]bool{}
+	destOwner := map[geohash.Hash]dht.NodeID{}
+	movedSet := map[geohash.Hash]bool{}
+	mark := func(byNode map[dht.NodeID]map[geohash.Hash]bool, id dht.NodeID, p geohash.Hash) {
 		m := byNode[id]
 		if m == nil {
-			m = map[string]bool{}
+			m = map[geohash.Hash]bool{}
 			byNode[id] = m
 		}
 		m[p] = true
@@ -262,7 +263,7 @@ func (c *Cluster) rebalance(next *dht.View, moves []dht.Move, desc string) {
 		}
 		perDest := map[dht.NodeID]query.Result{}
 		for k, s := range res.Cells {
-			dest := destOwner[k.Geohash[:plen]]
+			dest := destOwner[k.Geohash.Prefix(plen)]
 			r, ok := perDest[dest]
 			if !ok {
 				r = query.NewResult()

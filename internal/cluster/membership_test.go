@@ -152,7 +152,7 @@ func TestJoinMigratesResidentCells(t *testing.T) {
 	seed := map[dht.NodeID]query.Result{}
 	var all []cell.Key
 	for _, part := range ring.Partitions() {
-		k, err := cell.NewKey(part+"00", day)
+		k, err := cell.KeyOf(part.Child(0).Child(0), day)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"stash/internal/cell"
 	"stash/internal/dht"
 	"stash/internal/galileo"
+	"stash/internal/geohash"
 	"stash/internal/namgen"
 	"stash/internal/obs"
 	"stash/internal/query"
@@ -125,7 +126,7 @@ type Node struct {
 	// node: population tasks touching them are filtered so extracted cells
 	// cannot reappear behind the migrator's back. Written only by the
 	// membership controller; read lock-free on the population path.
-	frozen atomic.Pointer[map[string]bool]
+	frozen atomic.Pointer[map[geohash.Hash]bool]
 	// popGate lets the membership controller drain in-flight cache inserts:
 	// populateOne and the derivation insert hold the read side; the
 	// controller's barrier (write lock, immediately released) happens-after
@@ -545,7 +546,7 @@ func (n *Node) handleGuest(ctx context.Context, keys []cell.Key) fetchReply {
 	}
 	start := time.Now()
 	_, gs := obs.StartSpan(ctx, "graph.get")
-	found, missing := n.guest.Get(keys)
+	found, missing := n.guest.GetBatch(keys)
 	gs.SetAttr("hits", fmt.Sprint(found.Len()))
 	gs.End()
 	getDur := time.Since(start)
@@ -864,13 +865,13 @@ func (n *Node) populateOne(t popTask) {
 // reappear behind the migrator's back. A coarse key's cached value is a
 // partial over every owned partition under its geohash, so freezing any of
 // those invalidates its baseline too.
-func filterFrozen(t popTask, frozen map[string]bool, plen int) popTask {
-	touches := func(gh string) bool {
-		if len(gh) >= plen {
-			return frozen[gh[:plen]]
+func filterFrozen(t popTask, frozen map[geohash.Hash]bool, plen int) popTask {
+	touches := func(gh geohash.Hash) bool {
+		if gh.Len() >= plen {
+			return frozen[gh.Prefix(plen)]
 		}
 		for p := range frozen {
-			if len(p) >= len(gh) && p[:len(gh)] == gh {
+			if p.HasPrefix(gh) {
 				return true
 			}
 		}
@@ -891,7 +892,7 @@ func filterFrozen(t popTask, frozen map[string]bool, plen int) popTask {
 }
 
 // freeze marks partitions as mid-migration (nil or empty lifts the freeze).
-func (n *Node) freeze(parts map[string]bool) {
+func (n *Node) freeze(parts map[geohash.Hash]bool) {
 	if len(parts) == 0 {
 		n.frozen.Store(nil)
 		return

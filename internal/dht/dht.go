@@ -12,7 +12,6 @@ package dht
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 
@@ -154,31 +153,31 @@ func (r *Ring) Nodes() []NodeID {
 func (r *Ring) PrefixLen() int { return r.prefixLen }
 
 // Partition returns the partition key (geohash prefix) that owns the given
-// geohash. Geohashes shorter than the prefix length partition on their full
-// string, so coarse cells still have a well-defined owner.
-func (r *Ring) Partition(gh string) string {
-	if len(gh) <= r.prefixLen {
-		return gh
-	}
-	return gh[:r.prefixLen]
+// geohash. Geohashes shorter than the prefix length partition on themselves,
+// so coarse cells still have a well-defined owner.
+func (r *Ring) Partition(gh geohash.Hash) geohash.Hash {
+	return gh.Prefix(r.prefixLen)
 }
 
 // Owner returns the node owning the given geohash. This is the zero-hop
 // lookup: pure local computation, no network — which is exactly why the
 // registry counts placements rather than hops (there are none to count).
-func (r *Ring) Owner(gh string) NodeID {
+func (r *Ring) Owner(gh geohash.Hash) NodeID {
 	mLookupPoint.Inc()
 	return r.ownerOfKey(r.Partition(gh))
 }
 
 // OwnerOfPartition returns the node owning a raw partition key.
-func (r *Ring) OwnerOfPartition(part string) NodeID {
+func (r *Ring) OwnerOfPartition(part geohash.Hash) NodeID {
 	mLookupPartition.Inc()
 	return r.ownerOfKey(part)
 }
 
-func (r *Ring) ownerOfKey(key string) NodeID {
-	h := hash64(key)
+// ownerOfKey places a partition on the ring by the hash of its text, so the
+// assignment is the one the text-keyed ring made.
+func (r *Ring) ownerOfKey(part geohash.Hash) NodeID {
+	var buf [16]byte
+	h := hash64Bytes(part.AppendText(buf[:0]))
 	i := sort.Search(len(r.vnodeKeys), func(i int) bool { return r.vnodeKeys[i] >= h })
 	if i == len(r.vnodeKeys) {
 		i = 0
@@ -187,15 +186,15 @@ func (r *Ring) ownerOfKey(key string) NodeID {
 }
 
 // Partitions enumerates every base partition key: all geohash prefixes of
-// the ring's prefix length. For the default length 2 this is the paper's
-// 32*32 = 1024 partitions.
-func (r *Ring) Partitions() []string {
-	return allPrefixes(r.prefixLen)
+// the ring's prefix length, in text order. For the default length 2 this is
+// the paper's 32*32 = 1024 partitions.
+func (r *Ring) Partitions() []geohash.Hash {
+	return geohash.Hash(0).Extensions(r.prefixLen)
 }
 
 // PartitionsOf returns the partition keys assigned to one node.
-func (r *Ring) PartitionsOf(id NodeID) []string {
-	var out []string
+func (r *Ring) PartitionsOf(id NodeID) []geohash.Hash {
+	var out []geohash.Hash
 	for _, p := range r.Partitions() {
 		if r.ownerOfKey(p) == id {
 			out = append(out, p)
@@ -204,33 +203,11 @@ func (r *Ring) PartitionsOf(id NodeID) []string {
 	return out
 }
 
-func allPrefixes(n int) []string {
-	out := []string{""}
-	for i := 0; i < n; i++ {
-		next := make([]string, 0, len(out)*len(geohash.Base32))
-		for _, p := range out {
-			for j := 0; j < len(geohash.Base32); j++ {
-				next = append(next, p+string(geohash.Base32[j]))
-			}
-		}
-		out = next
-	}
-	return out
-}
-
-// hash64 hashes a key into the ring's 64-bit space. Raw FNV-1a leaves very
-// short keys (like 2-character geohash prefixes) clustered in a narrow band,
-// which would collapse all partitions onto one vnode; a splitmix64-style
-// finalizer disperses them across the full space.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return finalize64(h.Sum64())
-}
-
-// hash64Bytes is hash64 over a byte slice, with the FNV-1a loop inlined so
-// ring construction can hash a reusable buffer without the hash.Hash
-// allocation per key. Must stay bit-identical to hash64 on the same bytes.
+// hash64Bytes hashes a key into the ring's 64-bit space: FNV-1a, inlined so a
+// reusable buffer hashes without a hash.Hash allocation per key. Raw FNV-1a
+// leaves very short keys (like 2-character geohash prefixes) clustered in a
+// narrow band, which would collapse all partitions onto one vnode; a
+// splitmix64-style finalizer disperses them across the full space.
 func hash64Bytes(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -52,13 +52,13 @@ func TestRingSizeAndNodes(t *testing.T) {
 
 func TestPartitionKey(t *testing.T) {
 	r, _ := NewRing(3, 2)
-	if got := r.Partition("9q8y7"); got != "9q" {
+	if got := r.Partition(geohash.MustPack("9q8y7")); got != geohash.MustPack("9q") {
 		t.Errorf("Partition(9q8y7) = %q", got)
 	}
-	if got := r.Partition("9"); got != "9" {
+	if got := r.Partition(geohash.MustPack("9")); got != geohash.MustPack("9") {
 		t.Errorf("short geohash partition = %q", got)
 	}
-	if got := r.Partition("9q"); got != "9q" {
+	if got := r.Partition(geohash.MustPack("9q")); got != geohash.MustPack("9q") {
 		t.Errorf("exact-length partition = %q", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestOwnerDeterministicAcrossRings(t *testing.T) {
 	a, _ := NewRing(120, 2)
 	b, _ := NewRing(120, 2)
 	for _, gh := range []string{"9q8y7", "u4pru", "dr5rs", "000", "zzzz"} {
-		if a.Owner(gh) != b.Owner(gh) {
+		if a.Owner(geohash.MustPack(gh)) != b.Owner(geohash.MustPack(gh)) {
 			t.Errorf("rings disagree on owner of %q", gh)
 		}
 	}
@@ -85,7 +85,7 @@ func TestOwnerSamePrefixSameNode(t *testing.T) {
 				break
 			}
 		}
-		return r.Owner(gh) == r.Owner("9q")
+		return r.Owner(geohash.MustPack(gh)) == r.Owner(geohash.MustPack("9q"))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -115,7 +115,7 @@ func TestPartitionsCount(t *testing.T) {
 
 func TestPartitionsOfCoversAllDisjointly(t *testing.T) {
 	r, _ := NewRing(6, 1)
-	seen := map[string]NodeID{}
+	seen := map[geohash.Hash]NodeID{}
 	total := 0
 	for _, id := range r.Nodes() {
 		for _, p := range r.PartitionsOf(id) {
@@ -153,8 +153,8 @@ func TestBalanceAcrossNodes(t *testing.T) {
 func TestSingleNodeOwnsEverything(t *testing.T) {
 	r, _ := NewRing(1, 2)
 	for _, gh := range []string{"9q8y7", "u4", "z"} {
-		if r.Owner(gh) != 0 {
-			t.Errorf("single-node ring routed %q to %v", gh, r.Owner(gh))
+		if id := r.Owner(geohash.MustPack(gh)); id != 0 {
+			t.Errorf("single-node ring routed %q to %v", gh, id)
 		}
 	}
 }
@@ -167,8 +167,9 @@ func TestNodeIDString(t *testing.T) {
 
 func BenchmarkOwner(b *testing.B) {
 	r, _ := NewRing(120, 2)
+	gh := geohash.MustPack("9q8y7zzz")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Owner("9q8y7zzz")
+		r.Owner(gh)
 	}
 }

@@ -1,6 +1,10 @@
 package dht
 
-import "fmt"
+import (
+	"fmt"
+
+	"stash/internal/geohash"
+)
 
 // View is an epoch-versioned snapshot of cluster membership: the partition
 // ring plus a monotonically increasing epoch. Views are immutable; AddNode
@@ -21,7 +25,7 @@ type View struct {
 // moves with To = the new node; a leave produces moves with From = the
 // departed node.
 type Move struct {
-	Partition string
+	Partition geohash.Hash
 	From, To  NodeID
 }
 

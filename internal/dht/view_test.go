@@ -1,19 +1,21 @@
 package dht
 
 import (
+	"hash/fnv"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"stash/internal/geohash"
 )
 
-func randGeohash(rng *rand.Rand) string {
+func randGeohash(rng *rand.Rand) geohash.Hash {
 	n := 1 + rng.Intn(7)
 	b := make([]byte, n)
 	for i := range b {
 		b[i] = geohash.Base32[rng.Intn(32)]
 	}
-	return string(b)
+	return geohash.MustPack(string(b))
 }
 
 func TestNewRingFromNodesValidation(t *testing.T) {
@@ -45,10 +47,30 @@ func TestNewRingFromNodesMatchesNewRing(t *testing.T) {
 	}
 }
 
-func TestHash64BytesMatchesHash64(t *testing.T) {
-	for _, s := range []string{"", "a", "vnode-0-0", "vnode-119-63", "9q8y7zzz"} {
-		if hash64Bytes([]byte(s)) != hash64(s) {
-			t.Errorf("hash64Bytes(%q) != hash64(%q)", s, s)
+// TestOwnerIsTextHashOwner pins the owner assignment across the move to packed
+// partition keys: a partition still lands where hash/fnv over its text, put
+// through the finalizer and searched on the vnode ring, says it does.
+func TestOwnerIsTextHashOwner(t *testing.T) {
+	r, _ := NewRing(16, 2)
+	textOwner := func(part string) NodeID {
+		h := fnv.New64a()
+		h.Write([]byte(part))
+		x := finalize64(h.Sum64())
+		i := sort.Search(len(r.vnodeKeys), func(i int) bool { return r.vnodeKeys[i] >= x })
+		return r.vnodeOwners[i%len(r.vnodeOwners)]
+	}
+	for _, p := range r.Partitions() {
+		if got, want := r.OwnerOfPartition(p), textOwner(p.String()); got != want {
+			t.Fatalf("partition %v owned by %v, its text hashes to %v", p, got, want)
+		}
+	}
+	for _, gh := range []string{"9", "z", "9q8y7zzz", "u4pruyd"} {
+		part := gh
+		if len(part) > 2 {
+			part = part[:2]
+		}
+		if got, want := r.Owner(geohash.MustPack(gh)), textOwner(part); got != want {
+			t.Errorf("Owner(%q) = %v, text partition %q hashes to %v", gh, got, part, want)
 		}
 	}
 }
@@ -103,7 +125,7 @@ func TestDiffMatchesRingOwners(t *testing.T) {
 	if len(moves) == 0 {
 		t.Fatal("join moved no partitions")
 	}
-	moved := map[string]Move{}
+	moved := map[geohash.Hash]Move{}
 	for _, m := range moves {
 		if m.To != 8 {
 			t.Errorf("join move %q goes to %v, not the joiner", m.Partition, m.To)

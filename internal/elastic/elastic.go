@@ -228,11 +228,10 @@ func (e *Engine) scanBlock(b galileo.BlockID, q query.Query, res *query.Result) 
 	acc := map[cell.Key]cell.Summary{}
 	for _, o := range obs {
 		k := cell.Key{
-			Geohash: geohash.Encode(o.Lat, o.Lon, q.SpatialRes),
+			Geohash: geohash.EncodeHash(o.Lat, o.Lon, q.SpatialRes),
 			Time:    temporal.At(o.Time, q.TemporalRes),
 		}
-		box, err := geohash.DecodeBox(k.Geohash)
-		if err != nil || !box.Intersects(q.Box) {
+		if !k.Box().Intersects(q.Box) {
 			continue
 		}
 		ts, err := k.Time.Start()

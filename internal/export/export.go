@@ -8,14 +8,12 @@ package export
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 
 	"stash/internal/cell"
-	"stash/internal/geohash"
 	"stash/internal/query"
 )
 
@@ -26,12 +24,7 @@ func sortedKeys(r query.Result) []cell.Key {
 	for k := range r.Cells {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Geohash != keys[j].Geohash {
-			return keys[i].Geohash < keys[j].Geohash
-		}
-		return keys[i].Time.Text < keys[j].Time.Text
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
 }
 
@@ -59,13 +52,10 @@ type geometry struct {
 func WriteGeoJSON(w io.Writer, r query.Result) error {
 	fc := geoJSON{Type: "FeatureCollection", Features: []feature{}}
 	for _, k := range sortedKeys(r) {
-		box, err := geohash.DecodeBox(k.Geohash)
-		if err != nil {
-			return fmt.Errorf("export: cell %v: %w", k, err)
-		}
+		box := k.Box()
 		props := map[string]any{
-			"geohash": k.Geohash,
-			"time":    k.Time.Text,
+			"geohash": k.Geohash.String(),
+			"time":    k.Time.String(),
 		}
 		s := r.Cells[k]
 		for _, attr := range s.Attrs() {
@@ -124,13 +114,9 @@ func WriteCSV(w io.Writer, r query.Result) error {
 		return err
 	}
 	for _, k := range sortedKeys(r) {
-		box, err := geohash.DecodeBox(k.Geohash)
-		if err != nil {
-			return fmt.Errorf("export: cell %v: %w", k, err)
-		}
-		lat, lon := box.Center()
+		lat, lon := k.Box().Center()
 		row := []string{
-			k.Geohash, k.Time.Text,
+			k.Geohash.String(), k.Time.String(),
 			strconv.FormatFloat(lat, 'f', 6, 64),
 			strconv.FormatFloat(lon, 'f', 6, 64),
 		}

@@ -260,7 +260,7 @@ func (c *Client) fetchShared(ctx context.Context, qkey string, keys []cell.Key) 
 func (c *Client) fetch(ctx context.Context, keys []cell.Key) (query.Result, error) {
 	probeStart := time.Now()
 	_, ps := obs.StartSpan(ctx, "cache.probe")
-	found, missing := c.cache.Get(keys)
+	found, missing := c.cache.GetBatch(keys)
 	ps.SetAttr("hits", fmt.Sprint(len(keys)-len(missing)))
 	ps.End()
 	probeDur := time.Since(probeStart)

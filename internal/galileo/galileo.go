@@ -44,7 +44,7 @@ type BlockID struct {
 	Day    temporal.Label
 }
 
-func (b BlockID) String() string { return fmt.Sprintf("%s/%s", b.Prefix, b.Day.Text) }
+func (b BlockID) String() string { return fmt.Sprintf("%s/%v", b.Prefix, b.Day) }
 
 // DefaultBlockPrefixLen is the geohash length of one stored block. Node
 // *ownership* follows the DHT ring's (coarser) partition prefix — the
@@ -131,29 +131,18 @@ func (s *Store) BlocksRead() int64 { return s.blocksRead.Load() }
 func (s *Store) PointsScanned() int64 { return s.pointsScanned.Load() }
 
 // Owns reports whether this shard owns the partition of the given geohash.
-func (s *Store) Owns(gh string) bool { return s.ring.Load().Owner(gh) == s.node }
+func (s *Store) Owns(gh geohash.Hash) bool { return s.ring.Load().Owner(gh) == s.node }
 
 // blockPrefixes expands a cell geohash to the block prefixes storing its
 // data. Geohashes at or beyond the block prefix length map to a single
 // block prefix; coarser geohashes span every extending prefix.
-func (s *Store) blockPrefixes(gh string) []string {
-	if len(gh) >= s.blockLen {
-		return []string{gh[:s.blockLen]}
-	}
-	prefixes := []string{gh}
-	for len(prefixes[0]) < s.blockLen {
-		next := make([]string, 0, len(prefixes)*geohash.BranchFactor)
-		for _, p := range prefixes {
-			next = append(next, geohash.Children(p)...)
-		}
-		prefixes = next
-	}
-	return prefixes
+func (s *Store) blockPrefixes(gh geohash.Hash) []geohash.Hash {
+	return gh.Extensions(s.blockLen)
 }
 
 // ownerOf returns the node owning a block prefix: ownership follows the
 // ring's coarser partition prefix.
-func (s *Store) ownerOf(blockPrefix string) dht.NodeID {
+func (s *Store) ownerOf(blockPrefix geohash.Hash) dht.NodeID {
 	r := s.ring.Load()
 	return r.OwnerOfPartition(r.Partition(blockPrefix))
 }
@@ -161,41 +150,33 @@ func (s *Store) ownerOf(blockPrefix string) dht.NodeID {
 // BlocksForKeys returns the distinct blocks owned by this shard that hold
 // raw data for any of the given cell keys.
 func (s *Store) BlocksForKeys(keys []cell.Key) ([]BlockID, error) {
-	seen := map[BlockID]bool{}
+	// Dedupe on the packed (prefix, day); a block's text prefix is built once,
+	// when the block is first seen.
+	type packedBlock struct {
+		prefix geohash.Hash
+		day    temporal.Label
+	}
+	seen := map[packedBlock]bool{}
 	var out []BlockID
 	for _, k := range keys {
-		days, err := dayLabels(k.Time)
-		if err != nil {
-			return nil, err
+		first, n := k.Time.Days()
+		if n == 0 {
+			return nil, fmt.Errorf("%w: key %v", temporal.ErrBadLabel, k)
 		}
 		for _, prefix := range s.blockPrefixes(k.Geohash) {
 			if s.ownerOf(prefix) != s.node {
 				continue
 			}
-			for _, d := range days {
-				id := BlockID{Prefix: prefix, Day: d}
+			for i := 0; i < n; i++ {
+				id := packedBlock{prefix, temporal.Label{Res: temporal.Day, Bucket: first.Bucket + int32(i)}}
 				if !seen[id] {
 					seen[id] = true
-					out = append(out, id)
+					out = append(out, BlockID{Prefix: prefix.String(), Day: id.day})
 				}
 			}
 		}
 	}
 	return out, nil
-}
-
-// dayLabels returns the Day-resolution labels spanned by a temporal label.
-func dayLabels(l temporal.Label) ([]temporal.Label, error) {
-	if l.Res == temporal.Day {
-		return []temporal.Label{l}, nil
-	}
-	start, err := l.Start()
-	if err != nil {
-		return nil, err
-	}
-	end, _ := l.End()
-	r := temporal.Range{Start: start, End: end}
-	return r.Cover(temporal.Day)
 }
 
 // FetchCells computes full-extent summaries for the requested cell keys from
@@ -471,7 +452,7 @@ func (s *Store) scanBlockColumnar(b BlockID, want map[cell.Key]bool, sres int, t
 	}
 	for _, o := range obs {
 		k := cell.Key{
-			Geohash: geohash.Encode(o.Lat, o.Lon, sres),
+			Geohash: geohash.EncodeHash(o.Lat, o.Lon, sres),
 			Time:    temporal.At(o.Time, tres),
 		}
 		if !want[k] {
@@ -496,7 +477,7 @@ func (s *Store) scanBlockInto(b BlockID, want map[cell.Key]bool, sres int, tres 
 	}
 	for _, o := range obs {
 		k := cell.Key{
-			Geohash: geohash.Encode(o.Lat, o.Lon, sres),
+			Geohash: geohash.EncodeHash(o.Lat, o.Lon, sres),
 			Time:    temporal.At(o.Time, tres),
 		}
 		if !want[k] {

@@ -111,13 +111,13 @@ func TestFetchCellsFullExtentReusable(t *testing.T) {
 	// fetched via a larger query: cells are full-extent aggregates.
 	c, _ := testCluster(t, 3)
 	day := temporal.MustParse("2015-02-02", temporal.Day)
-	k := cell.Key{Geohash: "9v1", Time: day}
+	k := cell.Key{Geohash: geohash.MustPack("9v1"), Time: day}
 
 	r1, err := c.FetchCells([]cell.Key{k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	neighbors, _ := k.SpatialNeighbors()
+	neighbors := k.SpatialNeighbors()
 	r2, err := c.FetchCells(append(neighbors, k))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestBlocksForKeysCoarseGeohash(t *testing.T) {
 	// and keep only blocks whose partition (prefix-2) it owns.
 	c, _ := testCluster(t, 3)
 	day := temporal.MustParse("2015-02-02", temporal.Day)
-	k := cell.Key{Geohash: "9q", Time: day}
+	k := cell.Key{Geohash: geohash.MustPack("9q"), Time: day}
 	var total int
 	for _, id := range c.Ring().Nodes() {
 		blocks, err := c.Store(id).BlocksForKeys([]cell.Key{k})
@@ -203,7 +203,7 @@ func TestBlocksForKeysCoarseGeohash(t *testing.T) {
 			if b.Prefix[:2] != "9q" {
 				t.Errorf("block %v outside coarse key", b)
 			}
-			if c.Ring().OwnerOfPartition(b.Prefix[:2]) != id {
+			if c.Ring().OwnerOfPartition(geohash.MustPack(b.Prefix[:2])) != id {
 				t.Errorf("node %v listed foreign block %v", id, b)
 			}
 		}
@@ -219,8 +219,8 @@ func TestBlockGranularityFinerThanPartition(t *testing.T) {
 	// blocks under one partition belong to the partition's single owner.
 	c, _ := testCluster(t, 5)
 	day := temporal.MustParse("2015-02-02", temporal.Day)
-	owner := c.Ring().OwnerOfPartition("9q")
-	blocks, err := c.Store(owner).BlocksForKeys([]cell.Key{{Geohash: "9q", Time: day}})
+	owner := c.Ring().OwnerOfPartition(geohash.MustPack("9q"))
+	blocks, err := c.Store(owner).BlocksForKeys([]cell.Key{{Geohash: geohash.MustPack("9q"), Time: day}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestBlockGranularityFinerThanPartition(t *testing.T) {
 		if id == owner {
 			continue
 		}
-		bs, _ := c.Store(id).BlocksForKeys([]cell.Key{{Geohash: "9q", Time: day}})
+		bs, _ := c.Store(id).BlocksForKeys([]cell.Key{{Geohash: geohash.MustPack("9q"), Time: day}})
 		if len(bs) != 0 {
 			t.Errorf("non-owner %v sees %d blocks of 9q", id, len(bs))
 		}
@@ -241,7 +241,7 @@ func TestBlockGranularityFinerThanPartition(t *testing.T) {
 func TestBlocksForKeysMultiDay(t *testing.T) {
 	c, _ := testCluster(t, 1)
 	month := temporal.MustParse("2015-02", temporal.Month)
-	k := cell.Key{Geohash: "9q8", Time: month}
+	k := cell.Key{Geohash: geohash.MustPack("9q8"), Time: month}
 	blocks, err := c.Store(0).BlocksForKeys([]cell.Key{k})
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +256,8 @@ func TestBlocksForKeysDeduplicates(t *testing.T) {
 	day := temporal.MustParse("2015-02-02", temporal.Day)
 	// Two sibling precision-4 cells share one 3-char block.
 	keys := []cell.Key{
-		{Geohash: "9q1b", Time: day},
-		{Geohash: "9q1c", Time: day},
+		{Geohash: geohash.MustPack("9q1b"), Time: day},
+		{Geohash: geohash.MustPack("9q1c"), Time: day},
 	}
 	blocks, err := c.Store(0).BlocksForKeys(keys)
 	if err != nil {
@@ -275,13 +275,13 @@ func TestDiskCostProportionalToBlocks(t *testing.T) {
 	st := NewStore(ring, 0, gen, simnet.Default(), meter)
 	day := temporal.MustParse("2015-02-02", temporal.Day)
 
-	if _, err := st.FetchCells([]cell.Key{{Geohash: "9q1", Time: day}}); err != nil {
+	if _, err := st.FetchCells([]cell.Key{{Geohash: geohash.MustPack("9q1"), Time: day}}); err != nil {
 		t.Fatal(err)
 	}
 	one := meter.Elapsed()
 	meter.Reset()
 	if _, err := st.FetchCells([]cell.Key{
-		{Geohash: "9q1", Time: day}, {Geohash: "9r1", Time: day}, {Geohash: "9w1", Time: day},
+		{Geohash: geohash.MustPack("9q1"), Time: day}, {Geohash: geohash.MustPack("9r1"), Time: day}, {Geohash: geohash.MustPack("9w1"), Time: day},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestFetchCellsReadsEachBlockOnce(t *testing.T) {
 	// Eight precision-4 keys spanning two 3-char blocks (4 siblings each),
 	// plus one precision-3 key that is itself a third block.
 	keys := []cell.Key{
-		{Geohash: "9q1b", Time: day}, {Geohash: "9q1c", Time: day},
-		{Geohash: "9q1f", Time: day}, {Geohash: "9q1g", Time: day},
-		{Geohash: "9q2b", Time: day}, {Geohash: "9q2c", Time: day},
-		{Geohash: "9q2f", Time: day}, {Geohash: "9q2g", Time: day},
+		{Geohash: geohash.MustPack("9q1b"), Time: day}, {Geohash: geohash.MustPack("9q1c"), Time: day},
+		{Geohash: geohash.MustPack("9q1f"), Time: day}, {Geohash: geohash.MustPack("9q1g"), Time: day},
+		{Geohash: geohash.MustPack("9q2b"), Time: day}, {Geohash: geohash.MustPack("9q2c"), Time: day},
+		{Geohash: geohash.MustPack("9q2f"), Time: day}, {Geohash: geohash.MustPack("9q2g"), Time: day},
 	}
 	blocks, err := st.BlocksForKeys(keys)
 	if err != nil {
@@ -346,9 +346,9 @@ func TestFetchCellsParallelMatchesSerial(t *testing.T) {
 
 	day := temporal.MustParse("2015-02-02", temporal.Day)
 	keys := []cell.Key{
-		{Geohash: "9q1", Time: day}, {Geohash: "9q2", Time: day},
-		{Geohash: "9r1", Time: day}, {Geohash: "9w1", Time: day},
-		{Geohash: "9y1", Time: day}, {Geohash: "9z1", Time: day},
+		{Geohash: geohash.MustPack("9q1"), Time: day}, {Geohash: geohash.MustPack("9q2"), Time: day},
+		{Geohash: geohash.MustPack("9r1"), Time: day}, {Geohash: geohash.MustPack("9w1"), Time: day},
+		{Geohash: geohash.MustPack("9y1"), Time: day}, {Geohash: geohash.MustPack("9z1"), Time: day},
 	}
 	rs, err := serial.FetchCells(keys)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Base32 is the geohash alphabet. Note the absence of a, i, l and o.
@@ -123,10 +122,10 @@ func (b Box) String() string {
 // World is the bounding box of the entire globe.
 var World = Box{MinLat: -90, MaxLat: 90, MinLon: -180, MaxLon: 180}
 
-// bits returns the number of longitude and latitude bits at the given
+// lonLatBits returns the number of longitude and latitude bits at the given
 // precision. Geohash interleaves bits starting with longitude, so odd total
 // bit counts give longitude one extra bit.
-func bits(precision int) (lonBits, latBits int) {
+func lonLatBits(precision int) (lonBits, latBits int) {
 	total := 5 * precision
 	lonBits = (total + 1) / 2
 	latBits = total / 2
@@ -136,92 +135,23 @@ func bits(precision int) (lonBits, latBits int) {
 // CellSize returns the width (degrees longitude) and height (degrees
 // latitude) of a geohash tile at the given precision.
 func CellSize(precision int) (width, height float64) {
-	lonBits, latBits := bits(precision)
+	lonBits, latBits := lonLatBits(precision)
 	return 360 / math.Pow(2, float64(lonBits)), 180 / math.Pow(2, float64(latBits))
 }
 
-// Encode returns the geohash of the given point at the given precision.
-// Latitude is clamped to [-90,90); longitude is wrapped into [-180,180).
+// Encode returns the text of EncodeHash: the geohash of the given point at
+// the given precision.
 func Encode(lat, lon float64, precision int) string {
-	if precision < 1 {
-		precision = 1
-	}
-	if precision > MaxPrecision {
-		precision = MaxPrecision
-	}
-	lat = clampLat(lat)
-	lon = wrapLon(lon)
-
-	var sb strings.Builder
-	sb.Grow(precision)
-	latLo, latHi := -90.0, 90.0
-	lonLo, lonHi := -180.0, 180.0
-	even := true // longitude bit first
-	var ch, bit int
-	for sb.Len() < precision {
-		if even {
-			mid := (lonLo + lonHi) / 2
-			if lon >= mid {
-				ch = ch<<1 | 1
-				lonLo = mid
-			} else {
-				ch <<= 1
-				lonHi = mid
-			}
-		} else {
-			mid := (latLo + latHi) / 2
-			if lat >= mid {
-				ch = ch<<1 | 1
-				latLo = mid
-			} else {
-				ch <<= 1
-				latHi = mid
-			}
-		}
-		even = !even
-		bit++
-		if bit == 5 {
-			sb.WriteByte(Base32[ch])
-			ch, bit = 0, 0
-		}
-	}
-	return sb.String()
+	return EncodeHash(lat, lon, precision).String()
 }
 
 // DecodeBox returns the bounding box of the geohash.
 func DecodeBox(gh string) (Box, error) {
-	if len(gh) == 0 || len(gh) > MaxPrecision {
-		return Box{}, fmt.Errorf("%w: %q", ErrInvalid, gh)
+	h, err := Pack(gh)
+	if err != nil {
+		return Box{}, err
 	}
-	latLo, latHi := -90.0, 90.0
-	lonLo, lonHi := -180.0, 180.0
-	even := true
-	for i := 0; i < len(gh); i++ {
-		c := gh[i]
-		if c >= 128 || base32Index[c] < 0 {
-			return Box{}, fmt.Errorf("%w: %q has invalid character %q", ErrInvalid, gh, c)
-		}
-		v := base32Index[c]
-		for mask := int8(16); mask > 0; mask >>= 1 {
-			if even {
-				mid := (lonLo + lonHi) / 2
-				if v&mask != 0 {
-					lonLo = mid
-				} else {
-					lonHi = mid
-				}
-			} else {
-				mid := (latLo + latHi) / 2
-				if v&mask != 0 {
-					latLo = mid
-				} else {
-					latHi = mid
-				}
-			}
-			even = !even
-		}
-	}
-	return Box{MinLat: latLo, MaxLat: latHi, MinLon: lonLo, MaxLon: lonHi}, nil
+	return h.Box(), nil
 }
 
 // MustBox is DecodeBox for geohashes known to be valid; it panics otherwise.
@@ -232,22 +162,6 @@ func MustBox(gh string) Box {
 		panic(err)
 	}
 	return b
-}
-
-// Decode returns the center point of the geohash's bounding box.
-func Decode(gh string) (lat, lon float64, err error) {
-	b, err := DecodeBox(gh)
-	if err != nil {
-		return 0, 0, err
-	}
-	lat, lon = b.Center()
-	return lat, lon, nil
-}
-
-// Validate reports whether gh is a well-formed geohash.
-func Validate(gh string) error {
-	_, err := DecodeBox(gh)
-	return err
 }
 
 // Direction identifies one of the eight compass neighbors of a geohash tile.
@@ -308,130 +222,21 @@ func Directions() []Direction {
 	return ds
 }
 
-// Neighbor returns the same-precision geohash adjacent to gh in the given
-// direction. Longitude wraps around the antimeridian. Stepping past a pole
-// returns ok=false (the tile has no neighbor in that direction).
-func Neighbor(gh string, d Direction) (string, bool, error) {
-	b, err := DecodeBox(gh)
-	if err != nil {
-		return "", false, err
-	}
-	dLat, dLon := d.Offsets()
-	lat, lon := b.Center()
-	lat += float64(dLat) * b.Height()
-	lon += float64(dLon) * b.Width()
-	if lat >= 90 || lat < -90 {
-		return "", false, nil
-	}
-	return Encode(lat, wrapLon(lon), len(gh)), true, nil
-}
-
-// Neighbors returns the up-to-8 same-precision neighbors of gh, clockwise
-// from north. Tiles at a pole have fewer than 8.
-func Neighbors(gh string) ([]string, error) {
-	out := make([]string, 0, 8)
-	for _, d := range Directions() {
-		n, ok, err := Neighbor(gh, d)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
-// Parent returns the geohash one spatial resolution coarser (the enclosing
-// tile). ok is false for single-character geohashes, which have no parent.
-func Parent(gh string) (string, bool) {
-	if len(gh) <= 1 {
-		return "", false
-	}
-	return gh[:len(gh)-1], true
-}
-
-// Children returns the 32 geohashes one spatial resolution finer that tile
-// gh, in Base32 order.
-func Children(gh string) []string {
-	out := make([]string, BranchFactor)
-	for i := 0; i < BranchFactor; i++ {
-		out[i] = gh + string(Base32[i])
-	}
-	return out
-}
-
-// IsAncestor reports whether a is a strict spatial ancestor of b (a encloses
-// b and is coarser).
-func IsAncestor(a, b string) bool {
-	return len(a) < len(b) && strings.HasPrefix(b, a)
-}
-
-// Cover returns the set of geohashes at the given precision whose tiles
-// intersect the box, in row-major (south-to-north, west-to-east) order. The
-// box is clamped to the globe. Boxes spanning the antimeridian are not
-// supported (callers split them first); such boxes yield ErrInvalid.
+// Cover is CoverHashes as text.
 func Cover(b Box, precision int) ([]string, error) {
-	b = b.Clamp()
-	if !b.Valid() {
-		return nil, fmt.Errorf("%w: cover box %v", ErrInvalid, b)
-	}
-	if precision < 1 || precision > MaxPrecision {
-		return nil, fmt.Errorf("%w: cover precision %d", ErrInvalid, precision)
-	}
-	w, h := CellSize(precision)
-	// Anchor the walk on tile centers so floating-point drift cannot skip a
-	// row or column.
-	first, err := DecodeBox(Encode(b.MinLat, b.MinLon, precision))
+	hs, err := CoverHashes(b, precision)
 	if err != nil {
 		return nil, err
 	}
-	// Walk tile minimums (not centers): a box smaller than one tile must
-	// still yield the tile that contains it.
-	var out []string
-	for latMin := first.MinLat; latMin < b.MaxLat && latMin < 90; latMin += h {
-		for lonMin := first.MinLon; lonMin < b.MaxLon && lonMin < 180; lonMin += w {
-			out = append(out, Encode(latMin+h/2, lonMin+w/2, precision))
-		}
-	}
-	return out, nil
+	return texts(hs), nil
 }
 
-// CoverCount returns the number of tiles Cover would produce without
-// materializing them. Useful for query planning and admission control.
-func CoverCount(b Box, precision int) (int, error) {
-	b = b.Clamp()
-	if !b.Valid() {
-		return 0, fmt.Errorf("%w: cover box %v", ErrInvalid, b)
+func texts(hs []Hash) []string {
+	out := make([]string, len(hs))
+	for i, h := range hs {
+		out[i] = h.String()
 	}
-	if precision < 1 || precision > MaxPrecision {
-		return 0, fmt.Errorf("%w: cover precision %d", ErrInvalid, precision)
-	}
-	w, h := CellSize(precision)
-	first, err := DecodeBox(Encode(b.MinLat, b.MinLon, precision))
-	if err != nil {
-		return 0, err
-	}
-	rows := 0
-	for latMin := first.MinLat; latMin < b.MaxLat && latMin < 90; latMin += h {
-		rows++
-	}
-	cols := 0
-	for lonMin := first.MinLon; lonMin < b.MaxLon && lonMin < 180; lonMin += w {
-		cols++
-	}
-	return rows * cols, nil
-}
-
-// Antipode returns the geohash of the point diametrically opposite gh's
-// center, at the same precision. STASH uses this to pick the helper node
-// "most isolated" from a hotspotted region (paper §VII-B3).
-func Antipode(gh string) (string, error) {
-	lat, lon, err := Decode(gh)
-	if err != nil {
-		return "", err
-	}
-	return Encode(-lat, wrapLon(lon+180), len(gh)), nil
+	return out
 }
 
 func clampLat(lat float64) float64 {

@@ -149,30 +149,6 @@ func max2(a, b float64) float64 {
 	return b
 }
 
-// CoverPolygon returns the geohashes at the given precision whose tiles
-// intersect the polygon: the bounding-box cover filtered by polygon/tile
-// intersection.
-func CoverPolygon(p Polygon, precision int) ([]string, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	candidates, err := Cover(p.BoundingBox(), precision)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, gh := range candidates {
-		tb, err := DecodeBox(gh)
-		if err != nil {
-			return nil, err
-		}
-		if p.IntersectsBox(tb) {
-			out = append(out, gh)
-		}
-	}
-	return out, nil
-}
-
 // RectPolygon converts a box into its polygon (counter-clockwise).
 func RectPolygon(b Box) Polygon {
 	return Polygon{

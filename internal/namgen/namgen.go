@@ -76,7 +76,7 @@ type Generator struct {
 	PointsPerBlock int
 
 	mu       sync.Mutex
-	versions map[string]uint64
+	versions map[blockKey]uint64
 }
 
 // DefaultPointsPerBlock keeps full-cluster experiments fast while giving
@@ -120,25 +120,29 @@ func (g *Generator) Block(prefix string, day temporal.Label) ([]Observation, err
 }
 
 // blockSeed derives the per-block PRNG seed, folding in the block's current
-// version so updated blocks regenerate with new content.
+// version so updated blocks regenerate with new content. The day enters as
+// its label text, so the dataset is the one the text-labelled generator made.
 func (g *Generator) blockSeed(prefix string, day temporal.Label) uint64 {
+	var buf [16]byte
 	h := fnv.New64a()
 	h.Write([]byte(prefix))
 	h.Write([]byte{0})
-	h.Write([]byte(day.Text))
+	h.Write(day.AppendText(buf[:0]))
 	h.Write([]byte{byte(day.Res)})
 	return h.Sum64() ^ g.Seed ^ (g.Version(prefix, day) * 0x9e3779b97f4a7c15)
 }
 
-func versionKey(prefix string, day temporal.Label) string {
-	return prefix + "/" + day.Text
+// blockKey names a block in the version table.
+type blockKey struct {
+	prefix string
+	day    temporal.Label
 }
 
 // Version returns a block's current version (0 until first Bump).
 func (g *Generator) Version(prefix string, day temporal.Label) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.versions[versionKey(prefix, day)]
+	return g.versions[blockKey{prefix, day}]
 }
 
 // Bump records an update to a block: subsequent Block calls for it return
@@ -147,10 +151,10 @@ func (g *Generator) Bump(prefix string, day temporal.Label) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.versions == nil {
-		g.versions = map[string]uint64{}
+		g.versions = map[blockKey]uint64{}
 	}
-	g.versions[versionKey(prefix, day)]++
-	return g.versions[versionKey(prefix, day)]
+	g.versions[blockKey{prefix, day}]++
+	return g.versions[blockKey{prefix, day}]
 }
 
 // synthesize produces physically plausible attribute values: temperature

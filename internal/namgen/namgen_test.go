@@ -107,7 +107,7 @@ func TestBlockInvalidInputs(t *testing.T) {
 	if _, err := g.Block("not a geohash", day); err == nil {
 		t.Error("invalid prefix accepted")
 	}
-	if _, err := g.Block("9q", temporal.Label{Res: temporal.Day, Text: "bogus"}); err == nil {
+	if _, err := g.Block("9q", temporal.Label{Res: 9}); err == nil {
 		t.Error("invalid day accepted")
 	}
 }

@@ -177,11 +177,6 @@ func sortedKeys(r query.Result) []cell.Key {
 	for k := range r.Cells {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Geohash != keys[j].Geohash {
-			return keys[i].Geohash < keys[j].Geohash
-		}
-		return keys[i].Time.Text < keys[j].Time.Text
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
 }

@@ -183,7 +183,7 @@ type Step struct {
 
 func (s Step) String() string {
 	if s.Update != nil {
-		return fmt.Sprintf("update %s/%s", s.Update.Prefix, s.Update.Day.Text)
+		return fmt.Sprintf("update %s/%v", s.Update.Prefix, s.Update.Day)
 	}
 	return fmt.Sprintf("%-8s %v", s.Op, s.Q)
 }

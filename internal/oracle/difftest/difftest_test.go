@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 	"stash/internal/oracle"
 	"stash/internal/query"
 )
@@ -96,7 +97,7 @@ var mutations = []struct {
 			ghost = k
 			break
 		}
-		ghost.Geohash = ghost.Geohash[:len(ghost.Geohash)-1] + "~"
+		ghost.Geohash |= 1 << 4 // a digit bit past the length: no real cell has this key
 		s := cell.NewSummary()
 		s.Observe("temperature", 1)
 		r.Cells[ghost] = s
@@ -135,8 +136,7 @@ func smallestKey(r *query.Result) (cell.Key, bool) {
 	var victim cell.Key
 	found := false
 	for k := range r.Cells {
-		if !found || k.Geohash < victim.Geohash ||
-			(k.Geohash == victim.Geohash && k.Time.Text < victim.Time.Text) {
+		if !found || k.Less(victim) {
 			victim = k
 			found = true
 		}
@@ -272,7 +272,7 @@ func TestSummaryMergeAlgebra(t *testing.T) {
 // even if its cells would pass as a subset.
 func TestCheckUsesClaimedSemantics(t *testing.T) {
 	want := query.NewResult()
-	k := cell.Key{Geohash: "9v6k"}
+	k := cell.Key{Geohash: geohash.MustPack("9v6k")}
 	s := cell.NewSummary()
 	s.Observe("temperature", 5)
 	s.Observe("temperature", 7)

@@ -47,7 +47,7 @@ type Oracle struct {
 // key.
 type memoKey struct {
 	prefix  string
-	day     string
+	day     temporal.Label
 	version uint64
 }
 
@@ -152,7 +152,7 @@ func (o *Oracle) scanLevel(keys []cell.Key, sres int, tres temporal.Resolution, 
 		}
 		for _, ob := range obs {
 			k := cell.Key{
-				Geohash: geohash.Encode(ob.Lat, ob.Lon, sres),
+				Geohash: geohash.EncodeHash(ob.Lat, ob.Lon, sres),
 				Time:    temporal.At(ob.Time, tres),
 			}
 			if !want[k] {
@@ -182,13 +182,13 @@ func (o *Oracle) blocksFor(keys []cell.Key) ([]blockID, error) {
 	seen := map[blockID]bool{}
 	var out []blockID
 	for _, k := range keys {
-		days, err := coverDays(k.Time)
-		if err != nil {
-			return nil, err
+		first, n := k.Time.Days()
+		if n == 0 {
+			return nil, fmt.Errorf("oracle: key %v: %w", k, temporal.ErrBadLabel)
 		}
-		for _, p := range o.blockPrefixes(k.Geohash) {
-			for _, d := range days {
-				id := blockID{prefix: p, day: d}
+		for _, p := range k.Geohash.Extensions(o.blockLen) {
+			for i := 0; i < n; i++ {
+				id := blockID{prefix: p.String(), day: temporal.Label{Res: temporal.Day, Bucket: first.Bucket + int32(i)}}
 				if !seen[id] {
 					seen[id] = true
 					out = append(out, id)
@@ -200,49 +200,15 @@ func (o *Oracle) blocksFor(keys []cell.Key) ([]blockID, error) {
 		if out[i].prefix != out[j].prefix {
 			return out[i].prefix < out[j].prefix
 		}
-		return out[i].day.Text < out[j].day.Text
+		return out[i].day.Compare(out[j].day) < 0
 	})
 	return out, nil
-}
-
-// blockPrefixes expands a cell geohash to the block prefixes storing its
-// data: truncation at or beyond the block length, the full extending tree
-// below it.
-func (o *Oracle) blockPrefixes(gh string) []string {
-	if len(gh) >= o.blockLen {
-		return []string{gh[:o.blockLen]}
-	}
-	prefixes := []string{gh}
-	for len(prefixes[0]) < o.blockLen {
-		next := make([]string, 0, len(prefixes)*geohash.BranchFactor)
-		for _, p := range prefixes {
-			next = append(next, geohash.Children(p)...)
-		}
-		prefixes = next
-	}
-	return prefixes
-}
-
-// coverDays returns the Day-resolution labels spanned by a temporal label.
-func coverDays(l temporal.Label) ([]temporal.Label, error) {
-	if l.Res == temporal.Day {
-		return []temporal.Label{l}, nil
-	}
-	start, err := l.Start()
-	if err != nil {
-		return nil, err
-	}
-	end, err := l.End()
-	if err != nil {
-		return nil, err
-	}
-	return temporal.Range{Start: start, End: end}.Cover(temporal.Day)
 }
 
 // block materializes one block, memoized per (prefix, day, version).
 func (o *Oracle) block(b blockID) ([]namgen.Observation, error) {
 	v := o.gen.Version(b.prefix, b.day)
-	k := memoKey{prefix: b.prefix, day: b.day.Text, version: v}
+	k := memoKey{prefix: b.prefix, day: b.day, version: v}
 	o.mu.Lock()
 	obs, ok := o.memo[k]
 	o.mu.Unlock()
@@ -251,7 +217,7 @@ func (o *Oracle) block(b blockID) ([]namgen.Observation, error) {
 	}
 	obs, err := o.gen.Block(b.prefix, b.day)
 	if err != nil {
-		return nil, fmt.Errorf("oracle: block %s/%s: %w", b.prefix, b.day.Text, err)
+		return nil, fmt.Errorf("oracle: block %s/%v: %w", b.prefix, b.day, err)
 	}
 	// Memoize only if the version is still the one we read: a concurrent
 	// Bump between Version and Block would otherwise file new content under

@@ -185,7 +185,7 @@ func mutate(r query.Result, kind string) query.Result {
 		delete(out.Cells, victim)
 	case "spurious-cell": // cell binned to the wrong key
 		ghost := victim
-		ghost.Geohash = victim.Geohash[:len(victim.Geohash)-1] + "~"
+		ghost.Geohash |= 1 << 4 // a digit bit past the length: no real cell has this key
 		s := cell.NewSummary()
 		s.Observe("temperature", 1)
 		out.Cells[ghost] = s
@@ -222,7 +222,7 @@ func TestCompareCatchesMutations(t *testing.T) {
 // claiming full count is held to the exact contract.
 func TestCompareSubsetSemantics(t *testing.T) {
 	key := func(gh string) cell.Key {
-		return cell.Key{Geohash: gh, Time: temporal.Label{Text: "2015-02-02", Res: temporal.Day}}
+		return cell.Key{Geohash: geohash.MustPack(gh), Time: temporal.MustParse("2015-02-02", temporal.Day)}
 	}
 	stat := func(count int64, sum, min, max float64) cell.Summary {
 		return cell.Summary{Stats: map[string]cell.Stat{
@@ -291,8 +291,8 @@ func TestFetchCellsMixedLevels(t *testing.T) {
 	coarse := geohash.Encode(35, -99, 3)
 	fine := geohash.Encode(35, -99, 5)
 	keys := []cell.Key{
-		{Geohash: coarse, Time: month},
-		{Geohash: fine, Time: day},
+		{Geohash: geohash.MustPack(coarse), Time: month},
+		{Geohash: geohash.MustPack(fine), Time: day},
 	}
 	r, err := o.FetchCells(keys)
 	if err != nil {

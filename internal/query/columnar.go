@@ -97,34 +97,13 @@ func (c *ColumnarResult) Reset() {
 // Len returns the number of distinct cells accumulated.
 func (c *ColumnarResult) Len() int { return len(c.keys) + len(c.spill) }
 
-// hashKey is FNV-1a over the key's geohash, temporal text, and temporal
-// resolution — allocation-free (no interface conversions, no byte slices).
-func hashKey(k cell.Key) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.Geohash); i++ {
-		h ^= uint64(k.Geohash[i])
-		h *= prime64
-	}
-	h ^= uint64(k.Time.Res) + 0x9e
-	h *= prime64
-	for i := 0; i < len(k.Time.Text); i++ {
-		h ^= uint64(k.Time.Text[i])
-		h *= prime64
-	}
-	return h
-}
-
 // row returns the arena row of k, or -1 when absent.
 func (c *ColumnarResult) row(k cell.Key) int32 {
 	if len(c.index) == 0 {
 		return -1
 	}
 	mask := uint64(len(c.index) - 1)
-	for slot := hashKey(k) & mask; ; slot = (slot + 1) & mask {
+	for slot := k.Hash() & mask; ; slot = (slot + 1) & mask {
 		r := c.index[slot]
 		if r == -1 {
 			return -1
@@ -143,7 +122,7 @@ func (c *ColumnarResult) rowOrNew(k cell.Key) int32 {
 		c.grow()
 	}
 	mask := uint64(len(c.index) - 1)
-	for slot := hashKey(k) & mask; ; slot = (slot + 1) & mask {
+	for slot := k.Hash() & mask; ; slot = (slot + 1) & mask {
 		r := c.index[slot]
 		if r == -1 {
 			r = int32(len(c.keys))
@@ -175,7 +154,7 @@ func (c *ColumnarResult) grow() {
 	}
 	mask := uint64(n - 1)
 	for r, k := range c.keys {
-		slot := hashKey(k) & mask
+		slot := k.Hash() & mask
 		for c.index[slot] != -1 {
 			slot = (slot + 1) & mask
 		}

@@ -225,7 +225,7 @@ func TestPutResultDropsOversized(t *testing.T) {
 
 	big := NewResultCap(maxPooledResultCells + 1)
 	for i := 0; i <= maxPooledResultCells; i++ {
-		big.Cells[cell.Key{Geohash: fmt.Sprintf("g%06d", i), Time: temporal.Label{Res: temporal.Day, Text: "2021-06-01"}}] = cell.Summary{}
+		big.Cells[cell.MustKey(fmt.Sprintf("g%06d", i), "2021-06-01", temporal.Day)] = cell.Summary{}
 	}
 	PutResult(big) // must be dropped, not pooled
 	r3 := GetResult()

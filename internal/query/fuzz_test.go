@@ -77,7 +77,7 @@ func FuzzQueryFootprint(f *testing.F) {
 			if k.Level() != q.Level() {
 				t.Fatalf("key level %d != query level %d for %v", k.Level(), q.Level(), k)
 			}
-			if _, err := cell.NewKey(k.Geohash, k.Time); err != nil {
+			if _, err := cell.KeyOf(k.Geohash, k.Time); err != nil {
 				t.Fatalf("footprint emitted malformed key %v: %v", k, err)
 			}
 		}

@@ -110,7 +110,7 @@ func TestDrillRollUpFootprintAlgebra(t *testing.T) {
 			down: Query.DrillDown,
 			up:   Query.RollUp,
 			check: func(t *testing.T, fine cell.Key, coarseSet map[cell.Key]bool, coarse Query) {
-				parent := cell.Key{Geohash: fine.Geohash[:coarse.SpatialRes], Time: fine.Time}
+				parent := cell.Key{Geohash: fine.Geohash.Prefix(coarse.SpatialRes), Time: fine.Time}
 				if !coarseSet[parent] {
 					t.Fatalf("fine key %v has no parent %v in coarse footprint", fine, parent)
 				}
@@ -223,7 +223,7 @@ func TestDiceFootprintIsCrossProduct(t *testing.T) {
 			if err := q.Validate(); err != nil {
 				t.Fatalf("diced query invalid: %v", err)
 			}
-			ghs, err := geohash.Cover(tc.box, q.SpatialRes)
+			ghs, err := geohash.CoverHashes(tc.box, q.SpatialRes)
 			if err != nil {
 				t.Fatalf("Cover(box): %v", err)
 			}

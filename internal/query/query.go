@@ -85,12 +85,12 @@ func (q Query) Validate() error {
 // cross product of the geohash tiles covering Box and the temporal labels
 // covering Time, at the requested resolutions.
 func (q Query) Footprint() ([]cell.Key, error) {
-	var ghs []string
+	var ghs []geohash.Hash
 	var err error
 	if q.Polygon != nil {
-		ghs, err = geohash.CoverPolygon(q.Polygon, q.SpatialRes)
+		ghs, err = geohash.CoverPolygonHashes(q.Polygon, q.SpatialRes)
 	} else {
-		ghs, err = geohash.Cover(q.Box, q.SpatialRes)
+		ghs, err = geohash.CoverHashes(q.Box, q.SpatialRes)
 	}
 	if err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func (q Query) FootprintCount() (int, error) {
 		if bb > MaxFootprint {
 			return bb, nil // over limit either way; skip materializing
 		}
-		ghs, err := geohash.CoverPolygon(q.Polygon, q.SpatialRes)
+		ghs, err := geohash.CoverPolygonHashes(q.Polygon, q.SpatialRes)
 		if err != nil {
 			return 0, err
 		}

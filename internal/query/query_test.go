@@ -89,7 +89,7 @@ func TestFootprint(t *testing.T) {
 		if k.SpatialRes() != 4 || k.TemporalRes() != temporal.Day {
 			t.Fatalf("footprint key %v has wrong resolutions", k)
 		}
-		if k.Time.Text != "2015-02-02" {
+		if k.Time.String() != "2015-02-02" {
 			t.Fatalf("footprint key %v outside time range", k)
 		}
 	}
@@ -294,10 +294,10 @@ func TestSliceTime(t *testing.T) {
 		t.Errorf("slice temporal res = %v", s.TemporalRes)
 	}
 	labels, err := s.Time.Cover(temporal.Month)
-	if err != nil || len(labels) != 1 || labels[0].Text != "2015-03" {
+	if err != nil || len(labels) != 1 || labels[0].String() != "2015-03" {
 		t.Errorf("sliced range covers %v", labels)
 	}
-	if _, err := q.SliceTime(temporal.Label{Res: temporal.Month, Text: "bad"}); err == nil {
+	if _, err := q.SliceTime(temporal.Label{Res: 9}); err == nil {
 		t.Error("slice on invalid label accepted")
 	}
 }

@@ -74,14 +74,14 @@ func (c Config) Enabled() bool { return c.QueueThreshold > 0 && c.MaxReplicaCell
 // around the antipode geohash (§VII-B3's retry rule). The hotspotted node
 // itself is excluded. Candidates are deduplicated; at most cfg.MaxCandidates
 // are returned.
-func CandidateHelpers(root string, ring *dht.Ring, self dht.NodeID, cfg Config, rng *rand.Rand) []dht.NodeID {
+func CandidateHelpers(root geohash.Hash, ring *dht.Ring, self dht.NodeID, cfg Config, rng *rand.Rand) []dht.NodeID {
 	max := cfg.MaxCandidates
 	if max <= 0 {
 		max = DefaultConfig().MaxCandidates
 	}
 	var out []dht.NodeID
 	seen := map[dht.NodeID]bool{self: true}
-	add := func(gh string) {
+	add := func(gh geohash.Hash) {
 		if len(out) >= max {
 			return
 		}
@@ -92,10 +92,10 @@ func CandidateHelpers(root string, ring *dht.Ring, self dht.NodeID, cfg Config, 
 		}
 	}
 
-	anti, err := geohash.Antipode(root)
-	if err != nil {
+	if !root.Valid() {
 		return nil
 	}
+	anti := root.Antipode()
 	add(anti)
 
 	// Walk outward from the antipode in random directions until enough
@@ -103,8 +103,8 @@ func CandidateHelpers(root string, ring *dht.Ring, self dht.NodeID, cfg Config, 
 	frontier := anti
 	for attempts := 0; len(out) < max && attempts < 64; attempts++ {
 		d := geohash.Direction(rng.Intn(8))
-		next, ok, err := geohash.Neighbor(frontier, d)
-		if err != nil || !ok {
+		next, ok := frontier.Neighbor(d)
+		if !ok {
 			continue
 		}
 		frontier = next

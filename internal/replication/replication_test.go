@@ -13,7 +13,7 @@ import (
 
 var day = temporal.MustParse("2015-02-02", temporal.Day)
 
-func k(gh string) cell.Key { return cell.Key{Geohash: gh, Time: day} }
+func k(gh string) cell.Key { return cell.Key{Geohash: geohash.MustPack(gh), Time: day} }
 
 func TestConfigEnabled(t *testing.T) {
 	if (Config{}).Enabled() {
@@ -29,9 +29,9 @@ func TestConfigEnabled(t *testing.T) {
 
 func TestCandidateHelpersExcludesSelf(t *testing.T) {
 	ring, _ := dht.NewRing(32, 2)
-	self := ring.Owner("9q8")
+	self := ring.Owner(geohash.MustPack("9q8"))
 	rng := rand.New(rand.NewSource(1))
-	cands := CandidateHelpers("9q8", ring, self, DefaultConfig(), rng)
+	cands := CandidateHelpers(geohash.MustPack("9q8"), ring, self, DefaultConfig(), rng)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -44,11 +44,8 @@ func TestCandidateHelpersExcludesSelf(t *testing.T) {
 
 func TestCandidateHelpersFirstIsAntipodeOwner(t *testing.T) {
 	ring, _ := dht.NewRing(64, 2)
-	root := "9q8"
-	anti, err := geohash.Antipode(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := geohash.MustPack("9q8")
+	anti := root.Antipode()
 	antiOwner := ring.Owner(anti)
 	self := ring.Owner(root)
 	if antiOwner == self {
@@ -64,7 +61,7 @@ func TestCandidateHelpersFirstIsAntipodeOwner(t *testing.T) {
 func TestCandidateHelpersDeduplicated(t *testing.T) {
 	ring, _ := dht.NewRing(16, 2)
 	rng := rand.New(rand.NewSource(7))
-	cands := CandidateHelpers("u4p", ring, ring.Owner("u4p"), DefaultConfig(), rng)
+	cands := CandidateHelpers(geohash.MustPack("u4p"), ring, ring.Owner(geohash.MustPack("u4p")), DefaultConfig(), rng)
 	seen := map[dht.NodeID]bool{}
 	for _, c := range cands {
 		if seen[c] {
@@ -80,7 +77,7 @@ func TestCandidateHelpersDeduplicated(t *testing.T) {
 func TestCandidateHelpersInvalidRoot(t *testing.T) {
 	ring, _ := dht.NewRing(4, 2)
 	rng := rand.New(rand.NewSource(1))
-	if got := CandidateHelpers("not-a-geohash", ring, 0, DefaultConfig(), rng); got != nil {
+	if got := CandidateHelpers(geohash.Hash(0), ring, 0, DefaultConfig(), rng); got != nil {
 		t.Errorf("invalid root yielded candidates: %v", got)
 	}
 }
@@ -90,7 +87,7 @@ func TestCandidateHelpersTinyCluster(t *testing.T) {
 	ring, _ := dht.NewRing(2, 2)
 	self := dht.NodeID(0)
 	rng := rand.New(rand.NewSource(3))
-	cands := CandidateHelpers("9q8", ring, self, DefaultConfig(), rng)
+	cands := CandidateHelpers(geohash.MustPack("9q8"), ring, self, DefaultConfig(), rng)
 	for _, c := range cands {
 		if c != dht.NodeID(1) {
 			t.Errorf("unexpected candidate %v", c)

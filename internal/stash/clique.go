@@ -117,8 +117,6 @@ func (g *Graph) TopCliques(depth, maxCells int) []Clique {
 }
 
 func spatialParentKey(k cell.Key) (cell.Key, bool) {
-	if len(k.Geohash) <= 1 {
-		return cell.Key{}, false
-	}
-	return cell.Key{Geohash: k.Geohash[:len(k.Geohash)-1], Time: k.Time}, true
+	p, ok := k.Geohash.Parent()
+	return cell.Key{Geohash: p, Time: k.Time}, ok
 }

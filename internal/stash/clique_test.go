@@ -74,7 +74,7 @@ func TestTopCliquesRanksByFreshness(t *testing.T) {
 	cold := k("u4p")
 	g.Put(resultWith(hot, cold))
 	for i := 0; i < 10; i++ {
-		g.Get([]cell.Key{hot})
+		g.GetBatch([]cell.Key{hot})
 	}
 	cliques := g.TopCliques(1, 100)
 	if len(cliques) < 2 {
@@ -92,7 +92,7 @@ func TestTopCliquesRespectsBudget(t *testing.T) {
 	g := newTestGraph()
 	buildHierarchy(g) // 65-cell hierarchy under 9q8
 	g.Put(resultWith(k("u4p")))
-	g.Get([]cell.Key{k("u4p")})
+	g.GetBatch([]cell.Key{k("u4p")})
 
 	cliques := g.TopCliques(2, 10)
 	total := 0
@@ -116,7 +116,7 @@ func TestTopCliquesSkipsCoveredRoots(t *testing.T) {
 	// With the parent resident, children must not found their own cliques.
 	cliques := g.TopCliques(2, 1000)
 	for _, c := range cliques {
-		if c.Root.Geohash != "9q8" && len(c.Root.Geohash) > 3 {
+		if c.Root.Geohash.String() != "9q8" && c.Root.Geohash.Len() > 3 {
 			if parent, ok := spatialParentKey(c.Root); ok {
 				if _, present := g.Peek(parent); present {
 					t.Errorf("clique root %v has resident parent", c.Root)
@@ -130,7 +130,7 @@ func TestTopCliquesDisjoint(t *testing.T) {
 	g := newTestGraph()
 	buildHierarchy(g)
 	g.Put(resultWith(k("u4p"), k("dr5")))
-	g.Get([]cell.Key{k("u4p"), k("dr5")})
+	g.GetBatch([]cell.Key{k("u4p"), k("dr5")})
 	seen := map[cell.Key]bool{}
 	for _, c := range g.TopCliques(2, 1000) {
 		for _, key := range c.Keys {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 )
 
 func TestExtractPartitionsMovesOnlyMatchingFineCells(t *testing.T) {
@@ -14,7 +15,7 @@ func TestExtractPartitionsMovesOnlyMatchingFineCells(t *testing.T) {
 	exact := k("9q")   // exactly prefix-length: single-partition, extracted
 	g.Put(resultWith(moved, stays, coarse, exact))
 
-	res := g.ExtractPartitions(2, map[string]bool{"9q": true})
+	res := g.ExtractPartitions(2, map[geohash.Hash]bool{geohash.MustPack("9q"): true})
 	if _, ok := res.Cells[moved]; !ok {
 		t.Error("fine cell in moved partition not extracted")
 	}
@@ -30,7 +31,7 @@ func TestExtractPartitionsMovesOnlyMatchingFineCells(t *testing.T) {
 
 	// Extracted cells are gone from the shard — the old owner misses
 	// honestly; untouched cells still hit.
-	found, missing := g.Get([]cell.Key{moved, exact, stays, coarse})
+	found, missing := g.GetBatch([]cell.Key{moved, exact, stays, coarse})
 	if len(missing) != 2 || found.Len() != 2 {
 		t.Fatalf("post-extract: found=%d missing=%d, want 2/2", found.Len(), len(missing))
 	}
@@ -48,7 +49,7 @@ func TestExtractPartitionsSkipsStaleCells(t *testing.T) {
 	g.Put(resultWith(fresh))
 	g.PLM().MarkStale(BlockRef{Prefix: "9q80", Day: day})
 
-	res := g.ExtractPartitions(2, map[string]bool{"9q": true})
+	res := g.ExtractPartitions(2, map[geohash.Hash]bool{geohash.MustPack("9q"): true})
 	if res.Len() != 0 {
 		t.Fatalf("stale cell shipped: %d cells", res.Len())
 	}
@@ -66,7 +67,7 @@ func TestExtractPartitionsShipsNegativeCache(t *testing.T) {
 	r.Add(empty, cell.NewSummary())
 	g.Put(r)
 
-	res := g.ExtractPartitions(2, map[string]bool{"9q": true})
+	res := g.ExtractPartitions(2, map[geohash.Hash]bool{geohash.MustPack("9q"): true})
 	s, ok := res.Cells[empty]
 	if !ok {
 		t.Fatal("negative-cache entry not extracted")
@@ -83,11 +84,11 @@ func TestDropCoarsePartialsDropsOnlyExtendingCells(t *testing.T) {
 	fine := k("9q8") // finer than prefix; DropCoarsePartials never touches
 	g.Put(resultWith(over, other, fine))
 
-	dropped := g.DropCoarsePartials(2, map[string]bool{"9q": true})
+	dropped := g.DropCoarsePartials(2, map[geohash.Hash]bool{geohash.MustPack("9q"): true})
 	if dropped != 1 {
 		t.Fatalf("dropped %d coarse cells, want 1", dropped)
 	}
-	found, missing := g.Get([]cell.Key{over, other, fine})
+	found, missing := g.GetBatch([]cell.Key{over, other, fine})
 	if len(missing) != 1 || missing[0] != over {
 		t.Fatalf("post-drop: missing=%v, want only %v", missing, over)
 	}

@@ -24,6 +24,7 @@
 package stash
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,7 @@ import (
 	"stash/internal/obs"
 	"stash/internal/query"
 	"stash/internal/simnet"
+	"stash/internal/temporal"
 )
 
 // Config tunes a STASH graph shard. The zero value is not useful; start from
@@ -56,13 +58,6 @@ type Config struct {
 	// the abl-freshness ablation: replacement degenerates to per-cell
 	// frequency/recency with no region awareness.
 	Disperse bool
-	// DisperseKeyLimit skips dispersion for requests larger than this many
-	// cells. For perceptual-scale footprints the request already touches the
-	// whole region of interest and its one-cell neighborhood shell is
-	// negligible relative to it, so dispersing there buys nothing while the
-	// neighbor algebra would dominate the request cost. Zero selects the
-	// default.
-	DisperseKeyLimit int
 	// Stripes is the lock-striping factor: the store is split into this many
 	// hash-sharded segments, each under its own mutex, so concurrent workers
 	// contend only when their keys collide on a stripe. Rounded up to a
@@ -90,7 +85,6 @@ func DefaultConfig() Config {
 		DisperseFraction: 0.25,
 		HalfLife:         10_000,
 		Disperse:         true,
-		DisperseKeyLimit: 1024,
 		Stripes:          16,
 	}
 }
@@ -132,7 +126,11 @@ type Graph struct {
 	tick     atomic.Int64 // logical time, one advance per operation batch
 	size     atomic.Int64 // resident cells across all stripes
 	levelLen [cell.NumLevels]atomic.Int64
-	evicting atomic.Bool // single-flight guard for the global eviction pass
+	// levelSpan bounds the temporal buckets ever resident at each level. It
+	// only widens, so it may overstate what is resident but never misses a
+	// cell: dispersion uses it to skip temporal neighbors nothing can hold.
+	levelSpan [cell.NumLevels]bucketSpan
+	evicting  atomic.Bool // single-flight guard for the global eviction pass
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -150,9 +148,6 @@ func NewGraph(cfg Config) *Graph {
 	}
 	if cfg.FreshInc <= 0 {
 		cfg.FreshInc = DefaultConfig().FreshInc
-	}
-	if cfg.DisperseKeyLimit <= 0 {
-		cfg.DisperseKeyLimit = DefaultConfig().DisperseKeyLimit
 	}
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = DefaultConfig().Stripes
@@ -180,29 +175,32 @@ func NewGraph(cfg Config) *Graph {
 	for i := range g.stripes {
 		g.stripes[i] = &stripe{idx: i}
 	}
+	for l := range g.levelSpan {
+		g.levelSpan[l].lo.Store(math.MaxInt32)
+		g.levelSpan[l].hi.Store(math.MinInt32)
+	}
 	return g
+}
+
+// bucketSpan is a widen-only [lo, hi] range of temporal buckets; empty while
+// lo > hi.
+type bucketSpan struct{ lo, hi atomic.Int32 }
+
+func (s *bucketSpan) widen(b int32) {
+	for lo := s.lo.Load(); b < lo && !s.lo.CompareAndSwap(lo, b); lo = s.lo.Load() {
+	}
+	for hi := s.hi.Load(); b > hi && !s.hi.CompareAndSwap(hi, b); hi = s.hi.Load() {
+	}
 }
 
 // Stripes returns the (normalized) lock-striping factor.
 func (g *Graph) Stripes() int { return len(g.stripes) }
 
-// stripeIndex hashes a key onto its stripe index (FNV-1a over the key labels).
+// stripeIndex hashes a key onto its stripe index. It takes the high half of
+// the key hash; open-addressing tables keyed by the same hash mask the low
+// half, so the two stay independent.
 func (g *Graph) stripeIndex(k cell.Key) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(k.Geohash); i++ {
-		h = (h ^ uint32(k.Geohash[i])) * prime32
-	}
-	h = (h ^ uint32(k.Time.Res)) * prime32
-	for i := 0; i < len(k.Time.Text); i++ {
-		h = (h ^ uint32(k.Time.Text[i])) * prime32
-	}
-	// Fold the high bits in so low-entropy keys still spread.
-	h ^= h >> 16
-	return h & g.mask
+	return uint32(k.Hash()>>32) & g.mask
 }
 
 // stripeFor hashes a key onto its stripe.
@@ -274,76 +272,141 @@ func (g *Graph) PLM() *PLM {
 	return g.plm
 }
 
-// stripeGroup is one stripe's share of a batched request: the indices (into
-// the caller's key slice) of the keys hashing to the stripe.
-type stripeGroup struct {
-	s   *stripe
-	idx []int
+// batchScratch is the working memory of one batched request: the stripe
+// grouping, the miss marks, and dispersion's membership set and boost list.
+// Requests borrow one from scratchPool, so a warm graph serves a batch
+// without allocating anything but the reply.
+type batchScratch struct {
+	// Stripe grouping (group): key i hashes to stripe stripeOf[i]; the key
+	// indices of stripe s are order[start[s]:start[s+1]], in request order.
+	stripeOf []uint8 // maxStripes is 256, so a stripe index fits a byte
+	order    []int32
+	start    [maxStripes + 1]int32
+
+	missed []bool     // GetBatch: by key index, so missing keeps request order
+	keys   []cell.Key // Put: the result's keys; disperse: the boost list
+	seen   keySet     // disperse: requested or already boosted
 }
 
-// groupByStripe partitions keys by stripe, preserving per-stripe request
-// order. Requests are visual footprints (tens to a few thousand keys) and sit
-// on the serve hot path, so the grouping is a counting sort into one shared
-// index arena: two passes, three allocations, independent of stripe count.
-func (g *Graph) groupByStripe(keys []cell.Key) []stripeGroup {
-	if len(g.stripes) == 1 {
-		idx := make([]int, len(keys))
-		for i := range idx {
-			idx[i] = i
-		}
-		return []stripeGroup{{s: g.stripes[0], idx: idx}}
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// maxPooledScratchKeys bounds the request size whose scratch goes back to the
+// pool, so one giant batch does not pin its buffers behind every small one.
+const maxPooledScratchKeys = 1 << 16
+
+func putScratch(sc *batchScratch) {
+	if cap(sc.order) <= maxPooledScratchKeys && cap(sc.keys) <= maxPooledScratchKeys {
+		scratchPool.Put(sc)
 	}
-	// Pass 1: hash every key once, counting per-stripe populations.
-	// maxStripes is 256, so a stripe index fits a byte.
-	si := make([]uint8, len(keys))
-	var counts [maxStripes]int32
-	touched := 0
+}
+
+// resized returns buf with length n, reallocating only when it is too small.
+// The contents are unspecified.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// group partitions keys by stripe, preserving per-stripe request order.
+// Requests are visual footprints (tens to a few thousand keys) and sit on the
+// serve hot path, so the grouping is a counting sort: every key is hashed
+// once, then scattered into one shared index arena.
+func (sc *batchScratch) group(g *Graph, keys []cell.Key) {
+	sc.stripeOf = resized(sc.stripeOf, len(keys))
+	sc.order = resized(sc.order, len(keys))
+	n := len(g.stripes)
+	clear(sc.start[:n+1])
 	for i, k := range keys {
 		s := g.stripeIndex(k)
-		si[i] = uint8(s)
-		if counts[s] == 0 {
-			touched++
-		}
-		counts[s]++
+		sc.stripeOf[i] = uint8(s)
+		sc.start[s+1]++
 	}
-	// Pass 2: carve one arena into per-stripe segments and scatter the key
-	// indices, keeping request order within each stripe.
-	arena := make([]int, len(keys))
-	groups := make([]stripeGroup, 0, touched)
-	var gi [maxStripes]int32 // stripe -> group position
-	off := int32(0)
-	for s := range counts {
-		if counts[s] == 0 {
-			continue
-		}
-		gi[s] = int32(len(groups))
-		groups = append(groups, stripeGroup{
-			s:   g.stripes[s],
-			idx: arena[off : off : off+counts[s]],
-		})
-		off += counts[s]
+	var next [maxStripes]int32 // scatter cursor per stripe
+	for s := 0; s < n; s++ {
+		next[s] = sc.start[s]
+		sc.start[s+1] += sc.start[s]
 	}
 	for i := range keys {
-		g := &groups[gi[si[i]]]
-		g.idx = append(g.idx, i)
+		s := sc.stripeOf[i]
+		sc.order[next[s]] = int32(i)
+		next[s]++
 	}
-	return groups
 }
 
-// Get serves a region request from the cache: it returns the summaries of
-// every requested cell present (and fresh), and the list of missing keys the
-// caller must fetch from the backing store. Found cells are touched; if
+// eachGroup calls fn once for every stripe the last group call assigned keys
+// to, under that stripe's lock, with the indices (into the grouped key slice)
+// of its keys. One stripe lock is held at a time.
+func (g *Graph) eachGroup(sc *batchScratch, fn func(s *stripe, idx []int32)) {
+	for _, s := range g.stripes {
+		if idx := sc.order[sc.start[s.idx]:sc.start[s.idx+1]]; len(idx) > 0 {
+			g.lockStripe(s)
+			fn(s, idx)
+			s.mu.Unlock()
+		}
+	}
+}
+
+// keySet is an open-addressing set of cell keys. The zero Key, which is not
+// a valid cell, marks an empty slot.
+type keySet struct {
+	slots []cell.Key // power-of-two length
+	n     int
+}
+
+// reset empties the set and sizes it for a request of n keys: at the half
+// load add keeps to, room for the request plus as many boost candidates.
+func (s *keySet) reset(n int) {
+	want := 256
+	for want < 4*n {
+		want <<= 1
+	}
+	if cap(s.slots) < want {
+		s.slots = make([]cell.Key, want)
+	} else {
+		// Keep what a table grew by on earlier requests (a region with
+		// resident temporal neighbors queues several candidates per key, and
+		// regrowing on every request would reallocate), but not what one far
+		// larger request left behind: clearing is linear in the size kept.
+		s.slots = s.slots[:min(cap(s.slots), 4*want)]
+		clear(s.slots)
+	}
+	s.n = 0
+}
+
+// add inserts k and reports whether it was absent.
+func (s *keySet) add(k cell.Key) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots, s.n = make([]cell.Key, 2*len(old)), 0
+		for _, o := range old {
+			if o != (cell.Key{}) {
+				s.add(o)
+			}
+		}
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := k.Hash() & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case cell.Key{}:
+			s.slots[i] = k
+			s.n++
+			return true
+		}
+	}
+}
+
+// GetBatch serves a region request from the cache: it returns the summaries
+// of every requested cell present (and fresh), and the list of missing keys
+// the caller must fetch from the backing store. Found cells are touched; if
 // dispersion is enabled, the lateral neighbors and parents of the requested
 // region receive their freshness share (paper §V-C2).
 //
-// Get is the batched entry point (GetBatch is an alias): keys are grouped by
-// stripe and each stripe lock is taken once per request, not once per key.
-func (g *Graph) Get(keys []cell.Key) (query.Result, []cell.Key) {
-	return g.GetBatch(keys)
-}
-
-// GetBatch is Get under its pipeline name: one stripe-lock acquisition per
-// touched stripe for the whole key batch.
+// Keys are grouped by stripe and each stripe lock is taken once per request,
+// not once per key.
 func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
 	// Pre-size for the all-hit steady state: this map becomes the node's
 	// reply (and the coordinator recycles it after its columnar merge), so
@@ -353,20 +416,23 @@ func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
 		return res, nil
 	}
 	tick := g.tick.Add(1)
+	sc := scratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
 
-	missed := make([]bool, len(keys)) // by key index, so missing keeps request order
+	sc.missed = resized(sc.missed, len(keys))
+	clear(sc.missed)
 	nMiss := 0
-	for _, grp := range g.groupByStripe(keys) {
-		g.lockStripe(grp.s)
-		for _, i := range grp.idx {
+	sc.group(g, keys)
+	g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
 			k := keys[i]
-			c := grp.s.lookup(k)
+			c := s.lookup(k)
 			if c == nil || g.plm.IsStale(k) {
 				if c != nil {
 					// Stale cell: drop it so the refetch replaces it.
-					g.removeLocked(grp.s, k)
+					g.removeLocked(s, k)
 				}
-				missed[i] = true
+				sc.missed[i] = true
 				nMiss++
 				continue
 			}
@@ -378,21 +444,20 @@ func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
 				res.Add(k, c.Summary)
 			}
 		}
-		grp.s.mu.Unlock()
-	}
+	})
 
 	var missing []cell.Key
 	if nMiss > 0 {
 		missing = make([]cell.Key, 0, nMiss)
-		for i, m := range missed {
+		for i, m := range sc.missed {
 			if m {
 				missing = append(missing, keys[i])
 			}
 		}
 	}
 
-	if g.cfg.Disperse && len(keys) <= g.cfg.DisperseKeyLimit {
-		g.disperse(tick, keys)
+	if g.cfg.Disperse {
+		g.disperse(sc, tick, keys)
 	}
 	// One batched atomic add per counter per request, not one per key.
 	g.hits.Add(int64(len(keys) - nMiss))
@@ -404,48 +469,96 @@ func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
 }
 
 // disperse grants the neighborhood of the requested region its freshness
-// share. Only the region boundary matters: interior neighbors are themselves
-// requested and already touched. The boost set is computed from pure key
-// algebra with no locks held, then applied stripe by stripe.
-func (g *Graph) disperse(tick int64, keys []cell.Key) {
+// share: every cell that is a lateral neighbor (8 in space, 2 in time) or a
+// parent (space, time, both) of a requested cell, is not itself requested,
+// and is resident, is boosted once. Only the region boundary matters:
+// interior neighbors are themselves requested and already touched.
+//
+// The candidates are integer arithmetic on the packed labels. "Requested or
+// already boosted" is one probe of the scratch key set, and a whole class of
+// candidates is skipped when nothing resident can match it: the level it
+// lives on holds no cells, or (temporal neighbors) never held one at that
+// time. A request against an empty level does no neighbor work at all. Keys
+// outside the hierarchy (no validated query produces one) disperse nothing.
+// The boost set is computed with no locks held, then applied stripe by
+// stripe.
+func (g *Graph) disperse(sc *batchScratch, tick int64, keys []cell.Key) {
 	inc := g.cfg.FreshInc * g.cfg.DisperseFraction
 	if inc <= 0 {
 		return
 	}
-	requested := make(map[cell.Key]bool, len(keys))
-	for _, k := range keys {
-		requested[k] = true
+	var occupied [cell.NumLevels]bool
+	var lo, hi [cell.NumLevels]int32 // levelSpan, read once
+	resident := false
+	for l := range occupied {
+		occupied[l] = g.levelLen[l].Load() > 0
+		lo[l], hi[l] = g.levelSpan[l].lo.Load(), g.levelSpan[l].hi.Load()
+		resident = resident || occupied[l]
 	}
-	boosted := map[cell.Key]bool{}
-	var boost []cell.Key
-	add := func(k cell.Key) {
-		if requested[k] || boosted[k] {
-			return
+	if !resident {
+		return
+	}
+	sc.seen.reset(len(keys))
+	for _, k := range keys {
+		sc.seen.add(k)
+	}
+	sc.keys = sc.keys[:0]
+	for _, k := range keys {
+		sres, lvl := k.Geohash.Len(), k.Level()
+		if sres < 1 || sres > cell.MaxSpatialPrecision || !k.Time.Res.Valid() {
+			continue
 		}
-		boosted[k] = true
-		boost = append(boost, k)
-	}
-	for _, k := range keys {
-		if ns, err := k.LateralNeighbors(); err == nil {
-			for _, n := range ns {
-				add(n)
+		// The neighbor kinds are independent: each is computed, and skipped,
+		// on its own.
+		if occupied[lvl] {
+			var ns [8]geohash.Hash
+			for _, n := range ns[:k.Geohash.Neighbors(&ns)] {
+				sc.candidate(cell.Key{Geohash: n, Time: k.Time})
+			}
+			// Previous and next label, where the level ever held one.
+			b := k.Time.Bucket
+			if b > lo[lvl] {
+				sc.candidate(cell.Key{Geohash: k.Geohash, Time: temporal.Label{Res: k.Time.Res, Bucket: b - 1}})
+			}
+			if b < hi[lvl] {
+				sc.candidate(cell.Key{Geohash: k.Geohash, Time: temporal.Label{Res: k.Time.Res, Bucket: b + 1}})
 			}
 		}
-		for _, p := range k.Parents() {
-			add(p)
+		sp, hasSpatial := k.Geohash.Parent()
+		if hasSpatial && occupied[lvl-1] {
+			sc.candidate(cell.Key{Geohash: sp, Time: k.Time})
+		}
+		// One temporal step coarser is MaxSpatialPrecision levels down.
+		tlvl := lvl - cell.MaxSpatialPrecision
+		if tlvl >= 0 && (occupied[tlvl] || hasSpatial && occupied[tlvl-1]) {
+			tp, _ := k.Time.Parent()
+			if occupied[tlvl] {
+				sc.candidate(cell.Key{Geohash: k.Geohash, Time: tp})
+			}
+			if hasSpatial && occupied[tlvl-1] {
+				sc.candidate(cell.Key{Geohash: sp, Time: tp})
+			}
 		}
 	}
+	boost := sc.keys
 	if len(boost) == 0 {
 		return
 	}
-	for _, grp := range g.groupByStripe(boost) {
-		g.lockStripe(grp.s)
-		for _, i := range grp.idx {
-			if c := grp.s.lookup(boost[i]); c != nil {
+	sc.group(g, boost)
+	g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
+			if c := s.lookup(boost[i]); c != nil {
 				c.Disperse(tick, inc, g.decay)
 			}
 		}
-		grp.s.mu.Unlock()
+	})
+}
+
+// candidate queues k for a boost unless it was requested or is queued
+// already.
+func (sc *batchScratch) candidate(k cell.Key) {
+	if sc.seen.add(k) {
+		sc.keys = append(sc.keys, k)
 	}
 }
 
@@ -470,17 +583,19 @@ func (g *Graph) Peek(k cell.Key) (cell.Summary, bool) {
 func (g *Graph) Put(res query.Result) {
 	tick := g.tick.Add(1)
 	if res.Len() > 0 {
-		keys := make([]cell.Key, 0, res.Len())
+		sc := scratchPool.Get().(*batchScratch)
+		keys := sc.keys[:0]
 		for k := range res.Cells {
 			keys = append(keys, k)
 		}
-		for _, grp := range g.groupByStripe(keys) {
-			g.lockStripe(grp.s)
-			for _, i := range grp.idx {
-				g.insertLocked(grp.s, keys[i], res.Cells[keys[i]], tick)
+		sc.keys = keys
+		sc.group(g, keys)
+		g.eachGroup(sc, func(s *stripe, idx []int32) {
+			for _, i := range idx {
+				g.insertLocked(s, keys[i], res.Cells[keys[i]], tick)
 			}
-			grp.s.mu.Unlock()
-		}
+		})
+		putScratch(sc)
 	}
 	g.maybeEvict()
 	g.charge(res.Len())
@@ -491,15 +606,16 @@ func (g *Graph) Put(res query.Result) {
 // re-scan disk. The cells carry empty summaries.
 func (g *Graph) PutEmpty(keys []cell.Key) {
 	tick := g.tick.Add(1)
-	for _, grp := range g.groupByStripe(keys) {
-		g.lockStripe(grp.s)
-		for _, i := range grp.idx {
-			if grp.s.lookup(keys[i]) == nil {
-				g.insertLocked(grp.s, keys[i], cell.NewSummary(), tick)
+	sc := scratchPool.Get().(*batchScratch)
+	sc.group(g, keys)
+	g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
+			if s.lookup(keys[i]) == nil {
+				g.insertLocked(s, keys[i], cell.NewSummary(), tick)
 			}
 		}
-		grp.s.mu.Unlock()
-	}
+	})
+	putScratch(sc)
 	g.maybeEvict()
 	g.charge(len(keys))
 }
@@ -520,6 +636,7 @@ func (g *Graph) insertLocked(s *stripe, k cell.Key, sum cell.Summary, tick int64
 		s.size++
 		g.size.Add(1)
 		g.levelLen[lvl].Add(1)
+		g.levelSpan[lvl].widen(k.Time.Bucket)
 		g.inserts.Add(1)
 		g.om.inserts.Inc()
 		g.om.cells.Add(1)
@@ -663,15 +780,16 @@ func (g *Graph) Keys(level int) []cell.Key {
 // replication payloads); absent keys are skipped.
 func (g *Graph) Snapshot(keys []cell.Key) query.Result {
 	res := query.NewResult()
-	for _, grp := range g.groupByStripe(keys) {
-		g.lockStripe(grp.s)
-		for _, i := range grp.idx {
-			if c := grp.s.lookup(keys[i]); c != nil {
+	sc := scratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
+	sc.group(g, keys)
+	g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
+			if c := s.lookup(keys[i]); c != nil {
 				res.Add(keys[i], c.Summary)
 			}
 		}
-		grp.s.mu.Unlock()
-	}
+	})
 	return res
 }
 
@@ -686,7 +804,7 @@ func (g *Graph) Snapshot(keys []cell.Key) query.Result {
 //
 // Removal goes through the PLM (MarkAbsent), so the old owner honestly
 // misses on these keys after the freeze lifts.
-func (g *Graph) ExtractPartitions(prefixLen int, moved map[string]bool) query.Result {
+func (g *Graph) ExtractPartitions(prefixLen int, moved map[geohash.Hash]bool) query.Result {
 	res := query.NewResult()
 	if len(moved) == 0 {
 		return res
@@ -695,7 +813,7 @@ func (g *Graph) ExtractPartitions(prefixLen int, moved map[string]bool) query.Re
 		g.lockStripe(s)
 		for lvl := range s.levels {
 			for k, c := range s.levels[lvl] {
-				if len(k.Geohash) < prefixLen || !moved[k.Geohash[:prefixLen]] {
+				if k.Geohash.Len() < prefixLen || !moved[k.Geohash.Prefix(prefixLen)] {
 					continue
 				}
 				// A stale cell (invalidated by ingest, not yet lazily
@@ -720,13 +838,13 @@ func (g *Graph) ExtractPartitions(prefixLen int, moved map[string]bool) query.Re
 // partitions and under-counts on one that gained them — so migrating it (or
 // keeping it) would serve wrong answers. It must be dropped and rebuilt from
 // the new ownership. Returns the number of cells dropped.
-func (g *Graph) DropCoarsePartials(prefixLen int, changed map[string]bool) int {
+func (g *Graph) DropCoarsePartials(prefixLen int, changed map[geohash.Hash]bool) int {
 	if len(changed) == 0 {
 		return 0
 	}
-	extendsChanged := func(gh string) bool {
+	extendsChanged := func(gh geohash.Hash) bool {
 		for p := range changed {
-			if len(p) >= len(gh) && p[:len(gh)] == gh {
+			if p.HasPrefix(gh) {
 				return true
 			}
 		}
@@ -737,7 +855,7 @@ func (g *Graph) DropCoarsePartials(prefixLen int, changed map[string]bool) int {
 		g.lockStripe(s)
 		for lvl := range s.levels {
 			for k := range s.levels[lvl] {
-				if len(k.Geohash) >= prefixLen || !extendsChanged(k.Geohash) {
+				if k.Geohash.Len() >= prefixLen || !extendsChanged(k.Geohash) {
 					continue
 				}
 				g.removeLocked(s, k)
@@ -787,12 +905,11 @@ func (g *Graph) DeriveBatch(keys []cell.Key) (query.Result, []cell.Key) {
 	}
 
 	// Stage 1: plan. Check child-level occupancy from level arithmetic alone
-	// before materializing any child keys: building temporal children parses
-	// and formats timestamps, far too costly to do per cache miss.
+	// before materializing any child keys.
 	var cands []deriveCandidate
 	for i, k := range keys {
-		if len(k.Geohash) < cell.MaxSpatialPrecision {
-			childLvl := int(k.Time.Res)*cell.MaxSpatialPrecision + len(k.Geohash)
+		if k.Geohash.Len() < cell.MaxSpatialPrecision {
+			childLvl := int(k.Time.Res)*cell.MaxSpatialPrecision + k.Geohash.Len()
 			if g.levelLen[childLvl].Load() >= int64(geohash.BranchFactor) {
 				if children, ok := k.SpatialChildren(); ok {
 					cands = append(cands, deriveCandidate{parent: i, children: children})
@@ -800,7 +917,7 @@ func (g *Graph) DeriveBatch(keys []cell.Key) (query.Result, []cell.Key) {
 			}
 		}
 		if finer, ok := k.Time.Res.Finer(); ok {
-			childLvl := int(finer)*cell.MaxSpatialPrecision + len(k.Geohash) - 1
+			childLvl := int(finer)*cell.MaxSpatialPrecision + k.Geohash.Len() - 1
 			if g.levelLen[childLvl].Load() > 0 {
 				if children, ok := k.TemporalChildren(); ok {
 					cands = append(cands, deriveCandidate{parent: i, children: children})
@@ -827,16 +944,17 @@ func (g *Graph) DeriveBatch(keys []cell.Key) (query.Result, []cell.Key) {
 		}
 	}
 	got := make(map[cell.Key]cell.Summary, len(lookups))
-	for _, grp := range g.groupByStripe(lookups) {
-		g.lockStripe(grp.s)
-		for _, i := range grp.idx {
+	sc := scratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
+	sc.group(g, lookups)
+	g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
 			ck := lookups[i]
-			if c := grp.s.lookup(ck); c != nil && !g.plm.IsStale(ck) {
+			if c := s.lookup(ck); c != nil && !g.plm.IsStale(ck) {
 				got[ck] = c.Summary
 			}
 		}
-		grp.s.mu.Unlock()
-	}
+	})
 
 	// Stage 3: merge complete covers and batch-insert the derived cells.
 	derived := map[cell.Key]cell.Summary{}
@@ -865,13 +983,12 @@ func (g *Graph) DeriveBatch(keys []cell.Key) (query.Result, []cell.Key) {
 		for k := range derived {
 			ins = append(ins, k)
 		}
-		for _, grp := range g.groupByStripe(ins) {
-			g.lockStripe(grp.s)
-			for _, i := range grp.idx {
-				g.insertLocked(grp.s, ins[i], derived[ins[i]], tick)
+		sc.group(g, ins)
+		g.eachGroup(sc, func(s *stripe, idx []int32) {
+			for _, i := range idx {
+				g.insertLocked(s, ins[i], derived[ins[i]], tick)
 			}
-			grp.s.mu.Unlock()
-		}
+		})
 		for k, sum := range derived {
 			// A parent derived from all-empty children is a legitimate
 			// negative-cache entry (inserted above), but it must not appear

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 	"stash/internal/query"
 	"stash/internal/simnet"
 	"stash/internal/temporal"
@@ -14,7 +15,7 @@ import (
 
 var day = temporal.MustParse("2015-02-02", temporal.Day)
 
-func k(gh string) cell.Key { return cell.Key{Geohash: gh, Time: day} }
+func k(gh string) cell.Key { return cell.Key{Geohash: geohash.MustPack(gh), Time: day} }
 
 func summaryWith(v float64) cell.Summary {
 	s := cell.NewSummary()
@@ -40,13 +41,13 @@ func TestGetMissThenHit(t *testing.T) {
 	g := newTestGraph()
 	keys := []cell.Key{k("9q8"), k("9q9")}
 
-	found, missing := g.Get(keys)
+	found, missing := g.GetBatch(keys)
 	if found.Len() != 0 || len(missing) != 2 {
 		t.Fatalf("cold get: found=%d missing=%d", found.Len(), len(missing))
 	}
 
 	g.Put(resultWith(keys...))
-	found, missing = g.Get(keys)
+	found, missing = g.GetBatch(keys)
 	if found.Len() != 2 || len(missing) != 0 {
 		t.Fatalf("warm get: found=%d missing=%d", found.Len(), len(missing))
 	}
@@ -59,7 +60,7 @@ func TestGetMissThenHit(t *testing.T) {
 func TestGetPartial(t *testing.T) {
 	g := newTestGraph()
 	g.Put(resultWith(k("9q8")))
-	found, missing := g.Get([]cell.Key{k("9q8"), k("9q9"), k("9qb")})
+	found, missing := g.GetBatch([]cell.Key{k("9q8"), k("9q9"), k("9qb")})
 	if found.Len() != 1 {
 		t.Errorf("found = %d, want 1", found.Len())
 	}
@@ -70,7 +71,7 @@ func TestGetPartial(t *testing.T) {
 
 func TestGetEmpty(t *testing.T) {
 	g := newTestGraph()
-	found, missing := g.Get(nil)
+	found, missing := g.GetBatch(nil)
 	if found.Len() != 0 || missing != nil {
 		t.Error("empty get should be a no-op")
 	}
@@ -85,7 +86,7 @@ func TestPutReplacesSummary(t *testing.T) {
 	r.Add(key, summaryWith(99))
 	g.Put(r)
 
-	found, _ := g.Get([]cell.Key{key})
+	found, _ := g.GetBatch([]cell.Key{key})
 	if got := found.Cells[key].Stats["temperature"].Max; got != 99 {
 		t.Errorf("summary not replaced: max = %v", got)
 	}
@@ -98,7 +99,7 @@ func TestPutEmptyCachesNegativeResult(t *testing.T) {
 	g := newTestGraph()
 	keys := []cell.Key{k("9q8"), k("9q9")}
 	g.PutEmpty(keys)
-	found, missing := g.Get(keys)
+	found, missing := g.GetBatch(keys)
 	if len(missing) != 0 {
 		t.Fatalf("negative-cached keys still missing: %v", missing)
 	}
@@ -135,8 +136,8 @@ func TestPeekDoesNotTouch(t *testing.T) {
 
 func TestLevelSeparation(t *testing.T) {
 	g := newTestGraph()
-	coarse := cell.Key{Geohash: "9q", Time: day}
-	fine := cell.Key{Geohash: "9q8", Time: day}
+	coarse := cell.Key{Geohash: geohash.MustPack("9q"), Time: day}
+	fine := cell.Key{Geohash: geohash.MustPack("9q8"), Time: day}
 	g.Put(resultWith(coarse, fine))
 	if g.LevelLen(coarse.Level()) != 1 || g.LevelLen(fine.Level()) != 1 {
 		t.Errorf("level lens: %d %d", g.LevelLen(coarse.Level()), g.LevelLen(fine.Level()))
@@ -155,7 +156,7 @@ func TestFreshnessGrowsWithAccess(t *testing.T) {
 	a, b := k("9q8"), k("9q9")
 	g.Put(resultWith(a, b))
 	for i := 0; i < 5; i++ {
-		g.Get([]cell.Key{a})
+		g.GetBatch([]cell.Key{a})
 	}
 	fa, _ := g.Freshness(a)
 	fb, _ := g.Freshness(b)
@@ -172,16 +173,13 @@ func TestFreshnessGrowsWithAccess(t *testing.T) {
 func TestDispersionProtectsNeighborhood(t *testing.T) {
 	g := newTestGraph()
 	center := k("9q8y7")
-	neighbors, err := center.SpatialNeighbors()
-	if err != nil {
-		t.Fatal(err)
-	}
+	neighbors := center.SpatialNeighbors()
 	far := k("u4pru")
 	g.Put(resultWith(append(neighbors, center, far)...))
 
 	f0, _ := g.Freshness(neighbors[0])
 	fFar0, _ := g.Freshness(far)
-	g.Get([]cell.Key{center})
+	g.GetBatch([]cell.Key{center})
 	f1, _ := g.Freshness(neighbors[0])
 	fFar1, _ := g.Freshness(far)
 
@@ -199,10 +197,10 @@ func TestDispersionDisabledAblation(t *testing.T) {
 	cfg.Disperse = false
 	g := NewGraph(cfg)
 	center := k("9q8y7")
-	neighbors, _ := center.SpatialNeighbors()
+	neighbors := center.SpatialNeighbors()
 	g.Put(resultWith(append(neighbors, center)...))
 	f0, _ := g.Freshness(neighbors[0])
-	g.Get([]cell.Key{center})
+	g.GetBatch([]cell.Key{center})
 	f1, _ := g.Freshness(neighbors[0])
 	if f1 > f0 {
 		t.Error("dispersion happened with Disperse=false")
@@ -215,7 +213,7 @@ func TestDispersionBoostsParents(t *testing.T) {
 	parent := k("9q8y")
 	g.Put(resultWith(child, parent))
 	p0, _ := g.Freshness(parent)
-	g.Get([]cell.Key{child})
+	g.GetBatch([]cell.Key{child})
 	p1, _ := g.Freshness(parent)
 	if p1 <= p0 {
 		t.Errorf("parent freshness did not increase: %v -> %v", p0, p1)
@@ -240,7 +238,7 @@ func TestEvictionKeepsFreshCells(t *testing.T) {
 	g.Put(resultWith(cold...))
 	hot := cold[:5]
 	for i := 0; i < 10; i++ {
-		g.Get(hot)
+		g.GetBatch(hot)
 	}
 
 	// Overflow the capacity to trigger eviction.
@@ -271,7 +269,7 @@ func TestEvictionKeepsRegionsUnderDispersion(t *testing.T) {
 	g := NewGraph(cfg)
 
 	center := k("9q8y7")
-	ring, _ := center.SpatialNeighbors()
+	ring := center.SpatialNeighbors()
 	region := append([]cell.Key{center}, ring...)
 
 	var filler []cell.Key
@@ -284,7 +282,7 @@ func TestEvictionKeepsRegionsUnderDispersion(t *testing.T) {
 
 	// Hammer only the center; dispersion should shield the ring.
 	for i := 0; i < 20; i++ {
-		g.Get([]cell.Key{center})
+		g.GetBatch([]cell.Key{center})
 	}
 	g.Put(resultWith(k("zzz"))) // trigger eviction
 
@@ -320,7 +318,7 @@ func TestSnapshot(t *testing.T) {
 	g := newTestGraph()
 	a, b := k("9q8"), k("9q9")
 	g.Put(resultWith(a, b))
-	snap := g.Snapshot([]cell.Key{a, k("absent0")})
+	snap := g.Snapshot([]cell.Key{a, k("zzzzz0")})
 	if snap.Len() != 1 {
 		t.Errorf("snapshot len = %d", snap.Len())
 	}
@@ -335,7 +333,7 @@ func TestStaleCellRefetched(t *testing.T) {
 	g.Put(resultWith(key))
 	g.PLM().MarkStale(BlockRef{Prefix: "9q", Day: day})
 
-	found, missing := g.Get([]cell.Key{key})
+	found, missing := g.GetBatch([]cell.Key{key})
 	if found.Len() != 0 || len(missing) != 1 {
 		t.Fatalf("stale cell served from cache: found=%d missing=%d", found.Len(), len(missing))
 	}
@@ -343,7 +341,7 @@ func TestStaleCellRefetched(t *testing.T) {
 	// the cell serves again.
 	g.PLM().ClearStale(BlockRef{Prefix: "9q", Day: day})
 	g.Put(resultWith(key))
-	found, missing = g.Get([]cell.Key{key})
+	found, missing = g.GetBatch([]cell.Key{key})
 	if found.Len() != 1 || len(missing) != 0 {
 		t.Error("refetched cell not served")
 	}
@@ -393,7 +391,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 3 {
 				case 0:
-					g.Get(keys[w*4 : w*4+4])
+					g.GetBatch(keys[w*4 : w*4+4])
 				case 1:
 					g.Put(resultWith(keys[(w*7+i)%64]))
 				case 2:
@@ -411,7 +409,7 @@ func TestConcurrentAccess(t *testing.T) {
 func TestTickAdvances(t *testing.T) {
 	g := newTestGraph()
 	t0 := g.Tick()
-	g.Get([]cell.Key{k("9q8")})
+	g.GetBatch([]cell.Key{k("9q8")})
 	g.Put(resultWith(k("9q8")))
 	if g.Tick() != t0+2 {
 		t.Errorf("tick advanced by %d, want 2", g.Tick()-t0)
@@ -430,7 +428,7 @@ func BenchmarkGetWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Get(keys)
+		g.GetBatch(keys)
 	}
 }
 
@@ -486,7 +484,7 @@ func TestDeriveFailsWithIncompleteCover(t *testing.T) {
 
 func TestDeriveFromTemporalChildren(t *testing.T) {
 	g := newTestGraph()
-	parent := cell.Key{Geohash: "9q8", Time: temporal.MustParse("2015-02-02", temporal.Day)}
+	parent := cell.Key{Geohash: geohash.MustPack("9q8"), Time: temporal.MustParse("2015-02-02", temporal.Day)}
 	children, _ := parent.TemporalChildren()
 	res := query.NewResult()
 	for _, c := range children {
@@ -511,7 +509,7 @@ func TestDeriveFailsWithStaleChild(t *testing.T) {
 		res.Add(c, summaryWith(1))
 	}
 	g.Put(res)
-	g.PLM().MarkStale(BlockRef{Prefix: children[0].Geohash[:2], Day: day})
+	g.PLM().MarkStale(BlockRef{Prefix: children[0].Geohash.Prefix(2).String(), Day: day})
 	if _, ok := g.DeriveFromChildren(parent); ok {
 		t.Error("derivation used a stale child")
 	}
@@ -537,7 +535,7 @@ func TestGraphInvariants(t *testing.T) {
 			case 0:
 				g.Put(resultWith(key))
 			case 1:
-				found, missing := g.Get([]cell.Key{key, keyFor(op + 1)})
+				found, missing := g.GetBatch([]cell.Key{key, keyFor(op + 1)})
 				if found.Len()+len(missing) != 2 {
 					// found omits negative-cached empties; account for them.
 					extra := 0

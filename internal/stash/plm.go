@@ -1,11 +1,11 @@
 package stash
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 	"stash/internal/temporal"
 )
 
@@ -16,6 +16,21 @@ import (
 type BlockRef struct {
 	Prefix string
 	Day    temporal.Label
+}
+
+// staleBlock is a BlockRef with its prefix packed, the form the overlap test
+// compares cell keys against.
+type staleBlock struct {
+	prefix geohash.Hash
+	day    temporal.Label
+}
+
+// pack converts a block reference for the stale table. An unparseable prefix
+// packs to the zero Hash, which prefixes every geohash: such an invalidation
+// errs wide, never narrow.
+func (b BlockRef) pack() staleBlock {
+	h, _ := geohash.Pack(b.Prefix)
+	return staleBlock{prefix: h, day: b.Day}
 }
 
 // PLM is the precision-level map (paper §IV-D): a memory-resident bitmap
@@ -34,7 +49,7 @@ type PLM struct {
 	mu      sync.Mutex
 	epoch   int64
 	present [cell.NumLevels]map[cell.Key]int64
-	stale   map[BlockRef]int64
+	stale   map[staleBlock]int64
 	// staleN mirrors len(stale) atomically so the hot read path (IsStale on
 	// every cache hit, called under a graph stripe lock) skips the PLM mutex
 	// entirely whenever no invalidation is outstanding — the overwhelmingly
@@ -44,7 +59,7 @@ type PLM struct {
 
 // NewPLM returns an empty precision-level map.
 func NewPLM() *PLM {
-	return &PLM{stale: map[BlockRef]int64{}}
+	return &PLM{stale: map[staleBlock]int64{}}
 }
 
 // MarkPresent records that a cell is resident in memory and current as of
@@ -126,10 +141,11 @@ func (p *PLM) MarkStale(b BlockRef) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.epoch++
-	if _, exists := p.stale[b]; !exists {
+	sb := b.pack()
+	if _, exists := p.stale[sb]; !exists {
 		p.staleN.Add(1)
 	}
-	p.stale[b] = p.epoch
+	p.stale[sb] = p.epoch
 }
 
 // ClearStale drops a block's invalidation record (e.g. once every affected
@@ -137,10 +153,11 @@ func (p *PLM) MarkStale(b BlockRef) {
 func (p *PLM) ClearStale(b BlockRef) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, exists := p.stale[b]; exists {
+	sb := b.pack()
+	if _, exists := p.stale[sb]; exists {
 		p.staleN.Add(-1)
 	}
-	delete(p.stale, b)
+	delete(p.stale, sb)
 }
 
 // StaleCount returns the number of currently invalidated blocks.
@@ -173,28 +190,12 @@ func (p *PLM) IsStale(k cell.Key) bool {
 // isStaleLocked reports whether any invalidation newer than cellEpoch
 // overlaps the cell. Callers hold p.mu.
 func (p *PLM) isStaleLocked(k cell.Key, cellEpoch int64) bool {
-	if len(p.stale) == 0 {
-		return false
-	}
-	ks, err := k.Time.Start()
-	if err != nil {
-		return false
-	}
-	ke, _ := k.Time.End()
 	for b, blockEpoch := range p.stale {
 		if blockEpoch <= cellEpoch {
 			continue
 		}
 		// Spatial overlap: one geohash must prefix the other.
-		if !strings.HasPrefix(b.Prefix, k.Geohash) && !strings.HasPrefix(k.Geohash, b.Prefix) {
-			continue
-		}
-		bs, err := b.Day.Start()
-		if err != nil {
-			continue
-		}
-		be, _ := b.Day.End()
-		if bs.Before(ke) && ks.Before(be) {
+		if (k.Geohash.HasPrefix(b.prefix) || b.prefix.HasPrefix(k.Geohash)) && k.Time.Overlaps(b.day) {
 			return true
 		}
 	}

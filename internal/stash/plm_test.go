@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 	"stash/internal/temporal"
 )
 
@@ -76,9 +77,9 @@ func TestPLMStaleSpatialOverlap(t *testing.T) {
 func TestPLMStaleTemporalOverlap(t *testing.T) {
 	p := NewPLM()
 	sameDay := k("9q8")
-	otherDay := cell.Key{Geohash: "9q8", Time: temporal.MustParse("2015-02-03", temporal.Day)}
-	month := cell.Key{Geohash: "9q8", Time: temporal.MustParse("2015-02", temporal.Month)}
-	otherMonth := cell.Key{Geohash: "9q8", Time: temporal.MustParse("2015-03", temporal.Month)}
+	otherDay := cell.Key{Geohash: geohash.MustPack("9q8"), Time: temporal.MustParse("2015-02-03", temporal.Day)}
+	month := cell.Key{Geohash: geohash.MustPack("9q8"), Time: temporal.MustParse("2015-02", temporal.Month)}
+	otherMonth := cell.Key{Geohash: geohash.MustPack("9q8"), Time: temporal.MustParse("2015-03", temporal.Month)}
 	for _, key := range []cell.Key{sameDay, otherDay, month, otherMonth} {
 		p.MarkPresent(key)
 	}

@@ -58,7 +58,7 @@ func TestGraphStressParallel(t *testing.T) {
 				batch := keys[base : base+1+rng.Intn(31)]
 				switch rng.Intn(5) {
 				case 0: // read path: touch + disperse
-					g.Get(batch)
+					g.GetBatch(batch)
 				case 1: // population path: insert + evict
 					res := query.NewResult()
 					for j, key := range batch {
@@ -167,16 +167,16 @@ func TestSingleStripeSemantics(t *testing.T) {
 		t.Fatalf("Stripes() = %d, want 1", g.Stripes())
 	}
 	keys := []cell.Key{k("9q8"), k("9q9"), k("9qb")}
-	if _, missing := g.Get(keys); len(missing) != 3 {
+	if _, missing := g.GetBatch(keys); len(missing) != 3 {
 		t.Fatalf("cold get on single stripe: missing=%d", len(missing))
 	}
 	g.Put(resultWith(keys...))
-	found, missing := g.Get(keys)
+	found, missing := g.GetBatch(keys)
 	if found.Len() != 3 || len(missing) != 0 {
 		t.Fatalf("warm get on single stripe: found=%d missing=%d", found.Len(), len(missing))
 	}
 	g.Delete(keys[0])
-	if _, missing = g.Get(keys); len(missing) != 1 {
+	if _, missing = g.GetBatch(keys); len(missing) != 1 {
 		t.Fatalf("after delete: missing=%d, want 1", len(missing))
 	}
 }
@@ -187,7 +187,7 @@ func TestGetBatchAliasesGet(t *testing.T) {
 	g := newTestGraph()
 	keys := []cell.Key{k("9q8"), k("9q9")}
 	g.Put(resultWith(keys...))
-	r1, m1 := g.Get(keys)
+	r1, m1 := g.GetBatch(keys)
 	r2, m2 := g.GetBatch(keys)
 	if r1.Len() != r2.Len() || len(m1) != len(m2) {
 		t.Errorf("Get and GetBatch disagree: (%d,%d) vs (%d,%d)",

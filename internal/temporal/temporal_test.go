@@ -47,8 +47,8 @@ func TestAtFormatsPaperLabels(t *testing.T) {
 		Hour:  "2015-03-07T14",
 	}
 	for r, want := range cases {
-		if got := At(ts, r); got.Text != want {
-			t.Errorf("At(..., %v) = %q, want %q", r, got.Text, want)
+		if got := At(ts, r); got.String() != want {
+			t.Errorf("At(..., %v) = %q, want %q", r, got.String(), want)
 		}
 	}
 }
@@ -117,7 +117,7 @@ func TestContains(t *testing.T) {
 func TestParentChild(t *testing.T) {
 	day := MustParse("2015-03-15", Day)
 	p, ok := day.Parent()
-	if !ok || p.Text != "2015-03" || p.Res != Month {
+	if !ok || p.String() != "2015-03" || p.Res != Month {
 		t.Errorf("Parent = %v,%v", p, ok)
 	}
 	year := MustParse("2015", Year)
@@ -130,7 +130,7 @@ func TestParentChild(t *testing.T) {
 	if !ok || len(ch) != 28 {
 		t.Fatalf("2015-02 children = %d,%v; want 28 days", len(ch), ok)
 	}
-	if ch[0].Text != "2015-02-01" || ch[27].Text != "2015-02-28" {
+	if ch[0].String() != "2015-02-01" || ch[27].String() != "2015-02-28" {
 		t.Errorf("children range wrong: %v .. %v", ch[0], ch[27])
 	}
 
@@ -180,7 +180,7 @@ func TestPaperTemporalNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ns) != 2 || ns[0].Text != "2015-02" || ns[1].Text != "2015-04" {
+	if len(ns) != 2 || ns[0].String() != "2015-02" || ns[1].String() != "2015-04" {
 		t.Errorf("Neighbors(2015-03) = %v, want [2015-02 2015-04]", ns)
 	}
 }
@@ -188,17 +188,17 @@ func TestPaperTemporalNeighbors(t *testing.T) {
 func TestNextPrevCrossBoundaries(t *testing.T) {
 	dec := MustParse("2015-12", Month)
 	n, err := dec.Next()
-	if err != nil || n.Text != "2016-01" {
+	if err != nil || n.String() != "2016-01" {
 		t.Errorf("Next(2015-12) = %v,%v", n, err)
 	}
 	jan := MustParse("2016-01-01", Day)
 	p, err := jan.Prev()
-	if err != nil || p.Text != "2015-12-31" {
+	if err != nil || p.String() != "2015-12-31" {
 		t.Errorf("Prev(2016-01-01) = %v,%v", p, err)
 	}
 	h := MustParse("2015-02-02T00", Hour)
 	ph, _ := h.Prev()
-	if ph.Text != "2015-02-01T23" {
+	if ph.String() != "2015-02-01T23" {
 		t.Errorf("Prev hour across midnight = %v", ph)
 	}
 }
@@ -230,7 +230,7 @@ func TestRangeCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(labels) != 1 || labels[0].Text != "2015-02-02" {
+	if len(labels) != 1 || labels[0].String() != "2015-02-02" {
 		t.Errorf("day range day cover = %v", labels)
 	}
 	hours, err := r.Cover(Hour)
@@ -241,7 +241,7 @@ func TestRangeCover(t *testing.T) {
 		t.Errorf("day range hour cover = %d labels, want 24", len(hours))
 	}
 	months, err := r.Cover(Month)
-	if err != nil || len(months) != 1 || months[0].Text != "2015-02" {
+	if err != nil || len(months) != 1 || months[0].String() != "2015-02" {
 		t.Errorf("day range month cover = %v,%v", months, err)
 	}
 }
@@ -260,7 +260,7 @@ func TestRangeCoverSpanningBoundary(t *testing.T) {
 	if len(days) != 4 {
 		t.Fatalf("cover = %v, want 4 days", days)
 	}
-	if days[0].Text != "2015-01-30" || days[3].Text != "2015-02-02" {
+	if days[0].String() != "2015-01-30" || days[3].String() != "2015-02-02" {
 		t.Errorf("cover endpoints wrong: %v", days)
 	}
 	n, err := r.CoverCount(Day)

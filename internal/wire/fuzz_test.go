@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stash/internal/cell"
+	"stash/internal/query"
 	"stash/internal/temporal"
 )
 
@@ -52,7 +53,7 @@ func FuzzKeysDeltaRoundTrip(f *testing.F) {
 			return // rejected: fine, as long as we didn't panic
 		}
 		for i, k := range keys {
-			if _, err := cell.NewKey(k.Geohash, k.Time); err != nil {
+			if _, err := cell.KeyOf(k.Geohash, k.Time); err != nil {
 				t.Fatalf("decoder accepted invalid key %d (%v): %v", i, k, err)
 			}
 		}
@@ -73,6 +74,80 @@ func FuzzKeysDeltaRoundTrip(f *testing.F) {
 		// in this order) must be byte-stable: encode is deterministic.
 		if again := EncodeKeysDelta(back); !bytes.Equal(re, again) {
 			t.Fatal("re-encoding is not deterministic")
+		}
+	})
+}
+
+// FuzzKeyTextRoundTrip holds the packed key to its text at both edges. For
+// arbitrary (geohash text, label text, resolution):
+//
+//  1. text -> Key -> text: whatever NewKey and Parse accept prints back as
+//     exactly the text that went in, so the integer form loses nothing;
+//  2. Key -> wire -> Key: every key codec returns the identical key;
+//  3. the plain encoding is still the text layout the format documents
+//     (length-prefixed geohash, resolution byte, length-prefixed label), byte
+//     for byte.
+//
+// The seeds cover every resolution, both ends of the label format, a leap
+// day, the longest and shortest geohashes, and near-miss text each parser
+// must refuse.
+func FuzzKeyTextRoundTrip(f *testing.F) {
+	for _, s := range []struct {
+		gh, label string
+		res       uint8
+	}{
+		{"9q8y", "2015-02-02", 2}, {"9", "2015", 0}, {"zzzzzzzz", "9999-12-31T23", 3},
+		{"00000000", "0000-01", 1}, {"u4pruydq", "2016-02-29", 2}, {"d", "1970-01-01T00", 3},
+		{"9q8y7zzzz", "2015-02-02", 2}, // one past the max cell precision
+		{"9Q", "2015-02-02", 2}, {"", "2015", 0}, {"9q", "2015-02-30", 2}, {"9q", "2015-02-02T5", 3},
+		{"9q", "2015-2-2", 2}, {"9q", "10000", 0}, {"9q", "2015-02", 2}, {"ai", "2015", 0}, {"9q", "2015", 7},
+	} {
+		f.Add(s.gh, s.label, s.res)
+	}
+	f.Fuzz(func(t *testing.T, gh, label string, resRaw uint8) {
+		res := temporal.Resolution(resRaw % 8) // half the values are no resolution at all
+		l, err := temporal.Parse(label, res)
+		if err != nil {
+			return
+		}
+		k, err := cell.NewKey(gh, l)
+		if err != nil {
+			return
+		}
+		if got := k.String(); got != gh+"@"+label {
+			t.Fatalf("text %q@%q came back as %q", gh, label, got)
+		}
+		if k.SpatialRes() != len(gh) || k.TemporalRes() != res {
+			t.Fatalf("%v: resolutions (%d, %v), want (%d, %v)", k, k.SpatialRes(), k.TemporalRes(), len(gh), res)
+		}
+
+		keys := []cell.Key{k, k}
+		plain := EncodeKeys(keys[:1])
+		want := append([]byte{magic, version, 1, byte(len(gh))}, gh...)
+		want = append(append(want, byte(res), byte(len(label))), label...)
+		if !bytes.Equal(plain, want) {
+			t.Fatalf("plain encoding of %v is %x, the text layout is %x", k, plain, want)
+		}
+		if back, err := DecodeKeys(plain); err != nil || len(back) != 1 || back[0] != k {
+			t.Fatalf("plain round trip of %v: %v, %v", k, back, err)
+		}
+		if back, err := DecodeKeysDelta(EncodeKeysDelta(keys)); err != nil || len(back) != 2 || back[0] != k || back[1] != k {
+			t.Fatalf("delta round trip of %v: %v, %v", k, back, err)
+		}
+		s := cell.NewSummary()
+		s.Observe("x", 1)
+		r := query.NewResult()
+		r.Add(k, s)
+		enc := EncodeResult(r)
+		if len(enc) != ResultSize(r) {
+			t.Fatalf("ResultSize = %d, encoding is %d bytes", ResultSize(r), len(enc))
+		}
+		back, err := DecodeResult(enc)
+		if err != nil || back.Len() != 1 {
+			t.Fatalf("result round trip of %v: %v", k, err)
+		}
+		if _, ok := back.Cells[k]; !ok {
+			t.Fatalf("result round trip lost %v: %v", k, back.Cells)
 		}
 	})
 }

@@ -26,10 +26,14 @@
 //	DKey      := shared uvarint | suffix string |
 //	             timeFlag u8 | [timeRes u8 | timeText string]   (flag 0)
 //
+// Keys travel as text — the byte format predates packed keys and files may
+// hold it — but no string is built on either side: the encoder prints the
+// packed labels straight into the buffer and the decoder packs them straight
+// from the payload bytes (geohash.PackBytes, temporal.ParseBytes).
+//
 // The hot encode/decode paths are allocation-frugal: encode buffers and
-// decoder scratch are pooled (GetBuf/PutBuf and an internal reader pool),
-// repeated strings (attribute names, temporal labels) are interned per
-// decoder, and parsed temporal labels are memoized.
+// decoder scratch are pooled (GetBuf/PutBuf and an internal reader pool) and
+// attribute names are interned per decoder.
 package wire
 
 import (
@@ -41,6 +45,7 @@ import (
 	"sync"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 	"stash/internal/query"
 	"stash/internal/temporal"
 )
@@ -93,8 +98,9 @@ func PutBuf(b []byte) {
 func AppendResult(dst []byte, r query.Result) []byte {
 	dst = append(dst, magic, version)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Cells)))
+	var lt labelText
 	for k, s := range r.Cells {
-		dst = appendKey(dst, k)
+		dst = lt.appendKey(dst, k)
 		dst = appendSummary(dst, s)
 	}
 	return dst
@@ -105,10 +111,36 @@ func EncodeResult(r query.Result) []byte {
 	return AppendResult(make([]byte, 0, ResultSize(r)), r)
 }
 
-func appendKey(dst []byte, k cell.Key) []byte {
-	dst = appendString(dst, k.Geohash)
-	dst = append(dst, byte(k.Time.Res))
-	return appendString(dst, k.Time.Text)
+// labelText holds the encoded form of the last temporal label written. The
+// keys of one payload share a handful of labels, usually one, so printing a
+// label once per run of equal labels is most of the key-encoding cost saved.
+type labelText struct {
+	label temporal.Label
+	n     int
+	enc   [32]byte
+}
+
+// of returns the encoding of l: its resolution byte and length-prefixed text.
+func (lt *labelText) of(l temporal.Label) []byte {
+	if lt.n == 0 || l != lt.label {
+		var buf [24]byte
+		text := l.AppendText(buf[:0])
+		enc := append(lt.enc[:0], byte(l.Res))
+		enc = binary.AppendUvarint(enc, uint64(len(text)))
+		lt.label, lt.n = l, len(append(enc, text...))
+	}
+	return lt.enc[:lt.n]
+}
+
+func (lt *labelText) appendKey(dst []byte, k cell.Key) []byte {
+	dst = append(dst, byte(k.Geohash.Len())) // a one-byte uvarint: at most 15
+	dst = k.Geohash.AppendText(dst)
+	return append(dst, lt.of(k.Time)...)
+}
+
+// keyLen returns the encoded length of appendKey(k).
+func (lt *labelText) keyLen(k cell.Key) int {
+	return 1 + k.Geohash.Len() + len(lt.of(k.Time))
 }
 
 func appendSummary(dst []byte, s cell.Summary) []byte {
@@ -138,8 +170,9 @@ func appendFloat(dst []byte, f float64) []byte {
 // it — what the transport charges as payload bytes.
 func ResultSize(r query.Result) int {
 	n := 2 + uvarintLen(uint64(len(r.Cells)))
+	var lt labelText
 	for k, s := range r.Cells {
-		n += stringLen(k.Geohash) + 1 + stringLen(k.Time.Text)
+		n += lt.keyLen(k)
 		n += uvarintLen(uint64(len(s.Stats)))
 		for a, st := range s.Stats {
 			n += stringLen(a) + varintLen(st.Count) + 24
@@ -150,27 +183,19 @@ func ResultSize(r query.Result) int {
 
 // --- decoding ---
 
-// maxInterned bounds the per-reader intern and label-cache maps; a reader
-// whose caches grew past this is not worth pooling the maps of.
+// maxInterned bounds the per-reader intern map; a reader whose table grew
+// past this is not worth pooling the map of.
 const maxInterned = 4096
 
-type labelKey struct {
-	res  byte
-	text string
-}
-
-// reader is the pooled decode scratch: the cursor plus two memoization maps
-// that survive between decodes. Attribute names and temporal-label texts
-// repeat across the cells of a result (and across results), so interning
-// them turns most string allocations in DecodeResult into map hits; the
-// label cache additionally skips re-parsing a temporal label seen before.
+// reader is the pooled decode scratch: the cursor plus an intern table that
+// survives between decodes. Attribute names repeat across the cells of a
+// result (and across results), so interning them turns their string
+// allocations in DecodeResult into map hits.
 type reader struct {
 	b   []byte
 	pos int
-	// intern dedupes repeated strings (attribute names, label texts).
+	// intern dedupes repeated strings (attribute names).
 	intern map[string]string
-	// labels memoizes parsed temporal labels by (resolution, text).
-	labels map[labelKey]temporal.Label
 }
 
 var readerPool = sync.Pool{New: func() any { return &reader{} }}
@@ -182,14 +207,11 @@ func getReader(b []byte) *reader {
 	return r
 }
 
-// putReader returns a reader to the pool, dropping oversized caches.
+// putReader returns a reader to the pool, dropping an oversized table.
 func putReader(r *reader) {
 	r.b = nil
 	if len(r.intern) > maxInterned {
 		r.intern = nil
-	}
-	if len(r.labels) > maxInterned {
-		r.labels = nil
 	}
 	readerPool.Put(r)
 }
@@ -221,29 +243,22 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) str() (string, error) {
+// lenBytes reads a length-prefixed run of bytes; the result aliases the
+// payload.
+func (r *reader) lenBytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil || n > maxElems {
-		return "", ErrCorrupt
+		return nil, ErrCorrupt
 	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return r.bytes(int(n))
 }
 
 // internStr reads a length-prefixed string through the reader's intern table:
 // a string seen before costs a map probe (the map[string] lookup on a []byte
 // key compiles allocation-free), a new one is allocated once and remembered.
-// Use it for strings that repeat across elements (attribute names, label
-// texts), not for unique ones (geohashes).
+// Use it for strings that repeat across elements (attribute names).
 func (r *reader) internStr() (string, error) {
-	n, err := r.uvarint()
-	if err != nil || n > maxElems {
-		return "", ErrCorrupt
-	}
-	b, err := r.bytes(int(n))
+	b, err := r.lenBytes()
 	if err != nil {
 		return "", err
 	}
@@ -258,22 +273,20 @@ func (r *reader) internStr() (string, error) {
 	return s, nil
 }
 
-// label parses (res, text) into a temporal label through the reader's
-// memoization cache, so a result whose cells share a handful of labels pays
-// the parse once.
-func (r *reader) label(res byte, text string) (temporal.Label, error) {
-	lk := labelKey{res: res, text: text}
-	if l, ok := r.labels[lk]; ok {
-		return l, nil
-	}
-	l, err := temporal.Parse(text, temporal.Resolution(res))
+// label reads a temporal label: its resolution byte and length-prefixed text.
+func (r *reader) label() (temporal.Label, error) {
+	res, err := r.byte1()
 	if err != nil {
 		return temporal.Label{}, err
 	}
-	if r.labels == nil {
-		r.labels = make(map[labelKey]temporal.Label, 16)
+	text, err := r.lenBytes()
+	if err != nil {
+		return temporal.Label{}, err
 	}
-	r.labels[lk] = l
+	l, err := temporal.ParseBytes(text, temporal.Resolution(res))
+	if err != nil {
+		return temporal.Label{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	return l, nil
 }
 
@@ -295,9 +308,8 @@ func (r *reader) byte1() (byte, error) {
 
 // DecodeResult decodes an encoded result. Cell keys are validated, so a
 // decoded result is structurally safe to insert into a graph. Decoder
-// scratch (cursor, string intern table, parsed-label cache) comes from a
-// pool, so repeated decodes of similar results allocate only the result
-// itself.
+// scratch (cursor, attribute-name intern table) comes from a pool, so
+// repeated decodes of similar results allocate only the result itself.
 func DecodeResult(b []byte) (query.Result, error) {
 	r := getReader(b)
 	defer putReader(r)
@@ -332,23 +344,19 @@ func DecodeResult(b []byte) (query.Result, error) {
 }
 
 func decodeKey(r *reader) (cell.Key, error) {
-	gh, err := r.str()
+	gh, err := r.lenBytes()
 	if err != nil {
 		return cell.Key{}, err
 	}
-	res, err := r.byte1()
-	if err != nil {
-		return cell.Key{}, err
-	}
-	text, err := r.internStr()
-	if err != nil {
-		return cell.Key{}, err
-	}
-	label, err := r.label(res, text)
+	h, err := geohash.PackBytes(gh)
 	if err != nil {
 		return cell.Key{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	k, err := cell.NewKey(gh, label)
+	label, err := r.label()
+	if err != nil {
+		return cell.Key{}, err
+	}
+	k, err := cell.KeyOf(h, label)
 	if err != nil {
 		return cell.Key{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -397,8 +405,9 @@ func decodeSummary(r *reader) (cell.Summary, error) {
 func AppendKeys(dst []byte, keys []cell.Key) []byte {
 	dst = append(dst, magic, version)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	var lt labelText
 	for _, k := range keys {
-		dst = appendKey(dst, k)
+		dst = lt.appendKey(dst, k)
 	}
 	return dst
 }
@@ -453,17 +462,19 @@ func DecodeKeysInto(dst []cell.Key, b []byte) ([]cell.Key, error) {
 // KeysSize returns the exact encoded length of a key list.
 func KeysSize(keys []cell.Key) int {
 	n := 2 + uvarintLen(uint64(len(keys)))
+	var lt labelText
 	for _, k := range keys {
-		n += stringLen(k.Geohash) + 1 + stringLen(k.Time.Text)
+		n += lt.keyLen(k)
 	}
 	return n
 }
 
 // --- prefix-delta key lists (version 2) ---
 
-// SortKeys orders keys lexicographically by (geohash, time resolution, time
-// text): the order that maximizes shared geohash prefixes and temporal-label
-// runs for the delta encoding, and makes batched encodings deterministic.
+// SortKeys orders keys by (geohash text, time resolution, time bucket): the
+// order that maximizes shared geohash prefixes and temporal-label runs for
+// the delta encoding, and makes batched encodings deterministic. Packed
+// geohashes compare as their text does.
 func SortKeys(keys []cell.Key) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
@@ -473,7 +484,7 @@ func SortKeys(keys []cell.Key) {
 		if a.Time.Res != b.Time.Res {
 			return a.Time.Res < b.Time.Res
 		}
-		return a.Time.Text < b.Time.Text
+		return a.Time.Bucket < b.Time.Bucket
 	})
 }
 
@@ -485,18 +496,17 @@ func AppendKeysDelta(dst []byte, keys []cell.Key) []byte {
 	dst = append(dst, magic, versionDelta)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	var prev cell.Key
+	var lt labelText
 	for i, k := range keys {
-		shared := 0
-		if i > 0 {
-			shared = commonPrefixLen(prev.Geohash, k.Geohash)
-		}
-		dst = binary.AppendUvarint(dst, uint64(shared))
-		dst = appendString(dst, k.Geohash[shared:])
+		// The zero prev shares nothing, so the first key goes out whole.
+		shared := prev.Geohash.CommonPrefixLen(k.Geohash)
+		var buf [16]byte
+		dst = append(dst, byte(shared), byte(k.Geohash.Len()-shared)) // one-byte uvarints
+		dst = append(dst, k.Geohash.AppendText(buf[:0])[shared:]...)
 		if i > 0 && k.Time == prev.Time {
 			dst = append(dst, 1)
 		} else {
-			dst = append(dst, 0, byte(k.Time.Res))
-			dst = appendString(dst, k.Time.Text)
+			dst = append(append(dst, 0), lt.of(k.Time)...)
 		}
 		prev = k
 	}
@@ -538,51 +548,48 @@ func DecodeKeysDeltaInto(dst []cell.Key, b []byte) ([]cell.Key, error) {
 		copy(grown, out)
 		out = grown
 	}
-	prevGh := ""
-	var prevLabel temporal.Label
+	var prev cell.Key
 	for i := uint64(0); i < count; i++ {
 		shared, err := r.uvarint()
-		if err != nil || shared > uint64(len(prevGh)) {
+		if err != nil || shared > uint64(prev.Geohash.Len()) {
 			return dst, fmt.Errorf("%w: shared prefix %d exceeds previous geohash", ErrCorrupt, shared)
 		}
-		suffix, err := r.str()
+		suffix, err := r.lenBytes()
 		if err != nil {
 			return dst, err
 		}
-		gh := prevGh[:shared] + suffix
+		var buf [2 * geohash.MaxPrecision]byte
+		text := prev.Geohash.Prefix(int(shared)).AppendText(buf[:0])
+		if len(suffix) > geohash.MaxPrecision {
+			return dst, fmt.Errorf("%w: geohash suffix of %d bytes", ErrCorrupt, len(suffix))
+		}
+		h, err := geohash.PackBytes(append(text, suffix...))
+		if err != nil {
+			return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 		flag, err := r.byte1()
 		if err != nil {
 			return dst, err
 		}
-		var label temporal.Label
+		label := prev.Time
 		switch flag {
 		case 1:
 			if i == 0 {
 				return dst, fmt.Errorf("%w: repeat-label flag on first key", ErrCorrupt)
 			}
-			label = prevLabel
 		case 0:
-			res, err := r.byte1()
-			if err != nil {
+			if label, err = r.label(); err != nil {
 				return dst, err
-			}
-			text, err := r.internStr()
-			if err != nil {
-				return dst, err
-			}
-			label, err = r.label(res, text)
-			if err != nil {
-				return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 		default:
 			return dst, fmt.Errorf("%w: bad time flag %d", ErrCorrupt, flag)
 		}
-		k, err := cell.NewKey(gh, label)
+		k, err := cell.KeyOf(h, label)
 		if err != nil {
 			return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		out = append(out, k)
-		prevGh, prevLabel = gh, label
+		prev = k
 	}
 	if r.pos != len(b) {
 		return dst, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
@@ -595,30 +602,13 @@ func DecodeKeysDeltaInto(dst []cell.Key, b []byte) ([]cell.Key, error) {
 func KeysDeltaSize(keys []cell.Key) int {
 	n := 2 + uvarintLen(uint64(len(keys)))
 	var prev cell.Key
+	var lt labelText
 	for i, k := range keys {
-		shared := 0
-		if i > 0 {
-			shared = commonPrefixLen(prev.Geohash, k.Geohash)
-		}
-		n += uvarintLen(uint64(shared)) + stringLen(k.Geohash[shared:]) + 1
+		n += 2 + k.Geohash.Len() - prev.Geohash.CommonPrefixLen(k.Geohash) + 1
 		if !(i > 0 && k.Time == prev.Time) {
-			n += 1 + stringLen(k.Time.Text)
+			n += len(lt.of(k.Time))
 		}
 		prev = k
-	}
-	return n
-}
-
-// commonPrefixLen returns the length of the longest common prefix of a and b.
-func commonPrefixLen(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"stash/internal/cell"
+	"stash/internal/geohash"
 	"stash/internal/namgen"
 	"stash/internal/query"
 	"stash/internal/temporal"
@@ -28,7 +29,7 @@ func sampleResult(nCells int, seed int64) query.Result {
 				s.Observe(attr, rng.NormFloat64()*20)
 			}
 		}
-		r.Add(cell.Key{Geohash: gh, Time: day}, s)
+		r.Add(cell.Key{Geohash: geohash.MustPack(gh), Time: day}, s)
 	}
 	return r
 }
@@ -80,7 +81,7 @@ func TestEncodeDeterministic(t *testing.T) {
 	s := cell.NewSummary()
 	s.Observe("zeta", 1)
 	s.Observe("alpha", 2)
-	r.Add(cell.Key{Geohash: "9q8y", Time: day}, s)
+	r.Add(cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}, s)
 	b1 := EncodeResult(r)
 	b2 := EncodeResult(r)
 	if string(b1) != string(b2) {
@@ -175,12 +176,12 @@ func TestFloatEdgeCases(t *testing.T) {
 	r := query.NewResult()
 	s := cell.NewSummary()
 	s.Stats["x"] = cell.Stat{Count: 1, Sum: math.Inf(1), Min: -math.MaxFloat64, Max: math.MaxFloat64}
-	r.Add(cell.Key{Geohash: "9q8y", Time: day}, s)
+	r.Add(cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}, s)
 	got, err := DecodeResult(EncodeResult(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := got.Cells[cell.Key{Geohash: "9q8y", Time: day}].Stats["x"]
+	st := got.Cells[cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}].Stats["x"]
 	if !math.IsInf(st.Sum, 1) || st.Min != -math.MaxFloat64 {
 		t.Errorf("float extremes mangled: %+v", st)
 	}
@@ -198,7 +199,7 @@ func sampleKeys(n int, seed int64) []cell.Key {
 		for j := 0; j < 3; j++ {
 			gh += string(alpha[rng.Intn(32)])
 		}
-		keys = append(keys, cell.Key{Geohash: gh, Time: day})
+		keys = append(keys, cell.Key{Geohash: geohash.MustPack(gh), Time: day})
 	}
 	return keys
 }
