@@ -130,8 +130,8 @@ func BenchmarkGraphParallel(b *testing.B) {
 	keys := makeKeys(4096)
 	warm := query.NewResult()
 	for i, k := range keys {
-		s := cell.NewSummary()
-		s.Observe("temperature", float64(i))
+		s := cell.Summary{}
+		s.Observe(cell.Temperature, float64(i))
 		warm.Add(k, s)
 	}
 
@@ -158,8 +158,8 @@ func BenchmarkGraphParallel(b *testing.B) {
 						// serving node.
 						res := query.NewResult()
 						for j, k := range batch[:16] {
-							s := cell.NewSummary()
-							s.Observe("temperature", float64(j))
+							s := cell.Summary{}
+							s.Observe(cell.Temperature, float64(j))
 							res.Add(k, s)
 						}
 						g.Put(res)

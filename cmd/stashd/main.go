@@ -255,11 +255,11 @@ type CellResponse struct {
 	Time    string               `json:"time"`
 	Lat     float64              `json:"lat"`
 	Lon     float64              `json:"lon"`
-	Stats   map[string]StatBlock `json:"stats"`
+	Stats   map[string]AttrBlock `json:"stats"`
 }
 
-// StatBlock is one attribute's aggregate in the response.
-type StatBlock struct {
+// AttrBlock is one attribute's aggregate in the response.
+type AttrBlock struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
 	Min   float64 `json:"min"`
@@ -459,16 +459,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Time:    key.Time.String(),
 			Lat:     lat,
 			Lon:     lon,
-			Stats:   map[string]StatBlock{},
+			Stats:   map[string]AttrBlock{},
 		}
 		for _, attr := range sum.Attrs() {
-			st := sum.Stats[attr]
+			st, _ := sum.Stat(attr)
 			mean := st.Mean()
 			if math.IsNaN(mean) {
 				mean = 0
 			}
-			block := StatBlock{Count: st.Count, Sum: st.Sum, Min: st.Min, Max: st.Max, Mean: mean}
-			if h := sum.Hist(attr); h != nil {
+			block := AttrBlock{Count: st.Count, Sum: st.Sum, Min: st.Min, Max: st.Max, Mean: mean}
+			if h := res.Hists[key].Hist(attr); h != nil {
 				block.Histogram = &HistogramBlock{
 					Lo: h.Lo, Hi: h.Hi, Under: h.Under, Over: h.Over, Buckets: h.Counts,
 				}

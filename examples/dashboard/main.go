@@ -195,8 +195,7 @@ func startSelfContained() string {
 				Count int64   `json:"count"`
 				Mean  float64 `json:"mean"`
 			}{}}
-			st := sum.Stats["temperature"]
-			if st.Count > 0 {
+			if st, ok := sum.Stat("temperature"); ok {
 				cellOut.Stats["temperature"] = struct {
 					Count int64   `json:"count"`
 					Mean  float64 `json:"mean"`

@@ -57,7 +57,7 @@ func main() {
 
 	// Inspect one cell's temperature aggregate.
 	for key, sum := range res.Cells {
-		st := sum.Stats["temperature"]
+		st, _ := sum.Stat("temperature")
 		fmt.Printf("cell %v @ %v: n=%d mean=%.1f°C min=%.1f max=%.1f\n",
 			key.Geohash, key.Time, st.Count, st.Mean(), st.Min, st.Max)
 		break

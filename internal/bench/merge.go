@@ -105,10 +105,10 @@ func mergeParts(rng *rand.Rand, width, keysPerPart, universe int) []query.Result
 	for p := range parts {
 		parts[p] = query.NewResult()
 		for i := 0; i < keysPerPart; i++ {
-			s := cell.NewSummary()
-			s.Observe("temperature", rng.NormFloat64()*30)
-			s.Observe("humidity", rng.Float64()*100)
-			s.Observe("precipitation", rng.Float64()*10)
+			s := cell.Summary{}
+			s.Observe(cell.Temperature, rng.NormFloat64()*30)
+			s.Observe(cell.Humidity, rng.Float64()*100)
+			s.Observe(cell.Precipitation, rng.Float64()*10)
 			k := cell.Key{Geohash: geohash.MustPack(fmt.Sprintf("9q%05d", rng.Intn(universe))), Time: day}
 			parts[p].Add(k, s)
 		}
@@ -116,15 +116,28 @@ func mergeParts(rng *rand.Rand, width, keysPerPart, universe int) []query.Result
 	return parts
 }
 
-// timeMerge folds the same parts reps times through the fan-in and returns
-// the mean wall time per merge.
+// timeMerge folds the same parts through the fan-in in three batches of reps
+// and returns the mean wall time per merge of the fastest batch. On a shared
+// host a neighbour's burst lands in one batch or another, and the two paths
+// are closer than they were: with summaries stored by value the serial fold
+// got about 7x cheaper and the tournament about 4x, so the tournament's lead
+// at 16 / 32 / 64 shares went from 2.2x / 3.2x / 4.5x to 1.5x / 2.0x / 2.2x
+// (ten runs: 1.2-1.7x, 1.7-2.4x, 1.9-2.3x) — still a win from 16 shares up,
+// but one burst inside a single 20-rep mean flipped the 16-share row about
+// once in twenty runs.
 func timeMerge(parts []query.Result, workers, reps int) time.Duration {
 	// One untimed pass warms the Result/arena pools so the tournament is
 	// measured at steady state, like the coordinator after its first queries.
 	cluster.MergeResults(parts, workers)
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		cluster.MergeResults(parts, workers)
+	best := time.Duration(0)
+	for batch := 0; batch < 3; batch++ {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			cluster.MergeResults(parts, workers)
+		}
+		if d := time.Since(start) / time.Duration(reps); batch == 0 || d < best {
+			best = d
+		}
 	}
-	return time.Since(start) / time.Duration(reps)
+	return best
 }

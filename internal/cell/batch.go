@@ -1,93 +1,75 @@
 package cell
 
 // SummaryBatch is the columnar counterpart of Summary: a batch of cells laid
-// out structure-of-arrays, one row per cell and one lane per attribute, with
-// each lane's aggregates (count/sum/min/max) in their own contiguous slices.
+// out structure-of-arrays, one row per cell and one lane per schema
+// attribute, with each lane's aggregates (count/sum/min/max) in their own
+// contiguous slices.
 //
-//	lane "temperature":  counts [c0 c1 c2 ...]   sums [s0 s1 s2 ...]
-//	                     mins   [m0 m1 m2 ...]   maxs [M0 M1 M2 ...]
-//	lane "humidity":     counts [...]            ...
+//	lane Temperature:  counts [c0 c1 c2 ...]   sums [s0 s1 s2 ...]
+//	                   mins   [m0 m1 m2 ...]   maxs [M0 M1 M2 ...]
+//	lane Humidity:     counts [...]            ...
 //
-// Merging two batches touches four flat float/int arrays per lane instead of
-// N small maps of Stat structs, so the inner loop is sequential loads and
-// stores with the bounds checks hoisted — the cache-conscious layout the
-// aggregation core's steady state runs on. The scalar Summary stays the
-// compatibility wrapper (the wire format, the cache, and the oracle all speak
-// it); RowSummary and MergeSummaryAt convert at the edges.
+// Merging two batches touches four flat float/int arrays per lane, so the
+// inner loop is sequential loads and stores with the bounds checks hoisted —
+// the cache-conscious layout the aggregation core's steady state runs on.
+// Lanes are the fixed schema: a lane index is an Attr, and a row converts to
+// and from a Summary value (RowSummary, MergeSummaryAt) without allocating.
 //
-// Histograms are NOT carried in batches: a summary with Hists set must stay
-// on the scalar path (see query.ColumnarResult's spill map). A lane slot with
-// Count == 0 means "attribute absent for this row" — real aggregates always
-// have Count >= 1, and materialization skips empty slots so round-tripping
-// never invents zero-count attribute entries the oracle would flag.
+// A lane slot with Count == 0 means "attribute absent for this row", exactly
+// as in a Summary.
 //
 // The zero value is an empty batch ready for use. A SummaryBatch is not safe
 // for concurrent use.
 type SummaryBatch struct {
-	attrs []string       // lane order, first-seen
-	lane  map[string]int // attr -> lane index
-	rows  int
+	rows int
 
-	counts [][]int64 // [lane][row]
-	sums   [][]float64
-	mins   [][]float64
-	maxs   [][]float64
+	// [lane][row]. Every lane has the same length, at least rows; the slots
+	// from rows up are zero, so appending a row is a counter bump and the
+	// sixteen slices are only touched when they run out.
+	counts [NumAttrs][]int64
+	sums   [NumAttrs][]float64
+	mins   [NumAttrs][]float64
+	maxs   [NumAttrs][]float64
 }
 
 // Rows returns the number of cell rows in the batch.
 func (b *SummaryBatch) Rows() int { return b.rows }
 
-// Attrs returns the attribute lanes in lane order. The slice is shared with
-// the batch; callers must not mutate it.
-func (b *SummaryBatch) Attrs() []string { return b.attrs }
-
-// Reset empties the batch for reuse, keeping lanes and slice capacity so a
-// pooled batch's steady state allocates nothing.
+// Reset empties the batch for reuse, keeping the lanes so a pooled batch's
+// steady state allocates nothing.
 func (b *SummaryBatch) Reset() {
-	b.rows = 0
 	for l := range b.counts {
-		b.counts[l] = b.counts[l][:0]
-		b.sums[l] = b.sums[l][:0]
-		b.mins[l] = b.mins[l][:0]
-		b.maxs[l] = b.maxs[l][:0]
+		clear(b.counts[l][:b.rows])
+		clear(b.sums[l][:b.rows])
+		clear(b.mins[l][:b.rows])
+		clear(b.maxs[l][:b.rows])
 	}
-}
-
-// EnsureLane returns the lane index of attr, creating the lane (backfilled
-// with empty slots for existing rows) on first sight.
-func (b *SummaryBatch) EnsureLane(attr string) int {
-	if l, ok := b.lane[attr]; ok {
-		return l
-	}
-	if b.lane == nil {
-		b.lane = make(map[string]int, 4)
-	}
-	l := len(b.attrs)
-	b.attrs = append(b.attrs, attr)
-	b.lane[attr] = l
-	b.counts = append(b.counts, make([]int64, b.rows))
-	b.sums = append(b.sums, make([]float64, b.rows))
-	b.mins = append(b.mins, make([]float64, b.rows))
-	b.maxs = append(b.maxs, make([]float64, b.rows))
-	return l
+	b.rows = 0
 }
 
 // AppendRow adds one empty row (every lane slot at Count 0) and returns its
 // index.
 func (b *SummaryBatch) AppendRow() int {
-	r := b.rows
-	b.rows++
-	for l := range b.counts {
-		b.counts[l] = append(b.counts[l], 0)
-		b.sums[l] = append(b.sums[l], 0)
-		b.mins[l] = append(b.mins[l], 0)
-		b.maxs[l] = append(b.maxs[l], 0)
+	if b.rows == len(b.counts[0]) {
+		b.extend()
 	}
-	return r
+	b.rows++
+	return b.rows - 1
+}
+
+// extend lengthens every lane (doubling, from 64 rows) with zeroed slots.
+func (b *SummaryBatch) extend() {
+	n := max(2*b.rows, 64)
+	for l := range b.counts {
+		b.counts[l] = append(b.counts[l], make([]int64, n-b.rows)...)
+		b.sums[l] = append(b.sums[l], make([]float64, n-b.rows)...)
+		b.mins[l] = append(b.mins[l], make([]float64, n-b.rows)...)
+		b.maxs[l] = append(b.maxs[l], make([]float64, n-b.rows)...)
+	}
 }
 
 // ObserveAt folds one raw value into (row, lane) — the columnar Stat.Observe.
-func (b *SummaryBatch) ObserveAt(lane, row int, v float64) {
+func (b *SummaryBatch) ObserveAt(lane Attr, row int, v float64) {
 	c := b.counts[lane]
 	if c[row] == 0 {
 		b.mins[lane][row] = v
@@ -106,7 +88,7 @@ func (b *SummaryBatch) ObserveAt(lane, row int, v float64) {
 
 // MergeStatAt folds one scalar aggregate into (row, lane) — the columnar
 // Stat.Merge.
-func (b *SummaryBatch) MergeStatAt(lane, row int, st Stat) {
+func (b *SummaryBatch) MergeStatAt(lane Attr, row int, st Stat) {
 	if st.Count == 0 {
 		return
 	}
@@ -128,21 +110,16 @@ func (b *SummaryBatch) MergeStatAt(lane, row int, st Stat) {
 	}
 }
 
-// MergeSummaryAt folds a scalar summary's stats into an existing row.
-// Histograms are ignored; callers route histogram-bearing summaries to the
-// scalar path instead.
-func (b *SummaryBatch) MergeSummaryAt(row int, s Summary) {
-	for attr, st := range s.Stats {
-		if st.Count == 0 {
-			continue
-		}
-		b.MergeStatAt(b.EnsureLane(attr), row, st)
+// MergeSummaryAt folds a scalar summary into an existing row.
+func (b *SummaryBatch) MergeSummaryAt(row int, s *Summary) {
+	for a := range s.Stats {
+		b.MergeStatAt(Attr(a), row, s.Stats[a])
 	}
 }
 
-// AppendSummary adds a new row holding the scalar summary's stats and returns
-// its index.
-func (b *SummaryBatch) AppendSummary(s Summary) int {
+// AppendSummary adds a new row holding the scalar summary and returns its
+// index.
+func (b *SummaryBatch) AppendSummary(s *Summary) int {
 	r := b.AppendRow()
 	b.MergeSummaryAt(r, s)
 	return r
@@ -150,7 +127,7 @@ func (b *SummaryBatch) AppendSummary(s Summary) int {
 
 // StatAt returns the scalar aggregate at (row, lane); a zero Stat means the
 // attribute is absent for that row.
-func (b *SummaryBatch) StatAt(lane, row int) Stat {
+func (b *SummaryBatch) StatAt(lane Attr, row int) Stat {
 	if b.counts[lane][row] == 0 {
 		return Stat{}
 	}
@@ -162,21 +139,10 @@ func (b *SummaryBatch) StatAt(lane, row int) Stat {
 	}
 }
 
-// RowSummary materializes one row as a scalar Summary with a freshly
-// allocated stats map (never aliasing batch storage, so the batch can be
-// reset and reused without reaching previously returned summaries).
-func (b *SummaryBatch) RowSummary(row int) Summary {
-	s := Summary{Stats: make(map[string]Stat, len(b.attrs))}
-	for l, attr := range b.attrs {
-		if b.counts[l][row] == 0 {
-			continue
-		}
-		s.Stats[attr] = Stat{
-			Count: b.counts[l][row],
-			Sum:   b.sums[l][row],
-			Min:   b.mins[l][row],
-			Max:   b.maxs[l][row],
-		}
+// RowSummary returns one row as a scalar Summary value.
+func (b *SummaryBatch) RowSummary(row int) (s Summary) {
+	for a := range s.Stats {
+		s.Stats[a] = b.StatAt(Attr(a), row)
 	}
 	return s
 }
@@ -192,18 +158,17 @@ func (b *SummaryBatch) MergeRows(dstRows []int32, o *SummaryBatch) {
 	if o.rows == 0 {
 		return
 	}
-	for ol, attr := range o.attrs {
-		dl := b.EnsureLane(attr)
+	for l := range o.counts {
 		// Hoist the per-lane slices; slicing to len(dstRows) lets the
 		// compiler drop the bounds checks in the inner loop.
-		oc := o.counts[ol][:len(dstRows)]
-		os := o.sums[ol][:len(dstRows)]
-		omin := o.mins[ol][:len(dstRows)]
-		omax := o.maxs[ol][:len(dstRows)]
-		dc := b.counts[dl]
-		ds := b.sums[dl]
-		dmin := b.mins[dl]
-		dmax := b.maxs[dl]
+		oc := o.counts[l][:len(dstRows)]
+		os := o.sums[l][:len(dstRows)]
+		omin := o.mins[l][:len(dstRows)]
+		omax := o.maxs[l][:len(dstRows)]
+		dc := b.counts[l]
+		ds := b.sums[l]
+		dmin := b.mins[l]
+		dmax := b.maxs[l]
 		for i, dr := range dstRows {
 			c := oc[i]
 			if c == 0 {

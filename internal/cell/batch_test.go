@@ -7,15 +7,13 @@ import (
 
 // randBatchSummary builds a scalar summary with a random subset of attrs and
 // a few observations each, deterministically from rng.
-func randBatchSummary(rng *rand.Rand) Summary {
-	attrs := []string{"temperature", "humidity", "precipitation", "snow"}
-	s := NewSummary()
-	for _, attr := range attrs {
+func randBatchSummary(rng *rand.Rand) (s Summary) {
+	for a := range s.Stats {
 		if rng.Intn(3) == 0 {
 			continue // absent lane for this row
 		}
 		for n := rng.Intn(5); n >= 0; n-- {
-			s.Observe(attr, rng.NormFloat64()*50)
+			s.Observe(Attr(a), rng.NormFloat64()*50)
 		}
 	}
 	return s
@@ -23,16 +21,9 @@ func randBatchSummary(rng *rand.Rand) Summary {
 
 func summariesEqual(t *testing.T, got, want Summary, eps float64) {
 	t.Helper()
-	if len(got.Stats) != len(want.Stats) {
-		t.Fatalf("attr sets differ: got %v want %v", got.Attrs(), want.Attrs())
-	}
-	for attr, ws := range want.Stats {
-		gs, ok := got.Stats[attr]
-		if !ok {
-			t.Fatalf("missing attr %q", attr)
-		}
-		if !gs.ApproxEqual(ws, eps) {
-			t.Fatalf("attr %q: got %+v want %+v", attr, gs, ws)
+	for a, ws := range want.Stats {
+		if gs := got.Stats[a]; !gs.ApproxEqual(ws, eps) {
+			t.Fatalf("attr %v: got %+v want %+v", Attr(a), gs, ws)
 		}
 	}
 }
@@ -46,7 +37,7 @@ func TestSummaryBatchRoundTrip(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s := randBatchSummary(rng)
 		want = append(want, s)
-		if got := b.AppendSummary(s); got != i {
+		if got := b.AppendSummary(&s); got != i {
 			t.Fatalf("row %d appended at %d", i, got)
 		}
 	}
@@ -65,10 +56,10 @@ func TestSummaryBatchMergeMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a, c := randBatchSummary(rng), randBatchSummary(rng)
 		var b SummaryBatch
-		row := b.AppendSummary(a)
-		b.MergeSummaryAt(row, c)
+		row := b.AppendSummary(&a)
+		b.MergeSummaryAt(row, &c)
 
-		want := a.Clone()
+		want := a
 		want.Merge(c)
 		summariesEqual(t, b.RowSummary(row), want, 0)
 	}
@@ -83,13 +74,13 @@ func TestSummaryBatchMergeRows(t *testing.T) {
 	wants := make([]Summary, nDst)
 	for i := 0; i < nDst; i++ {
 		s := randBatchSummary(rng)
-		dst.AppendSummary(s)
-		wants[i] = s.Clone()
+		dst.AppendSummary(&s)
+		wants[i] = s
 	}
 	dstRows := make([]int32, nSrc)
 	for i := 0; i < nSrc; i++ {
 		s := randBatchSummary(rng)
-		src.AppendSummary(s)
+		src.AppendSummary(&s)
 		d := int32(rng.Intn(nDst))
 		dstRows[i] = d
 		wants[d].Merge(s)
@@ -100,22 +91,21 @@ func TestSummaryBatchMergeRows(t *testing.T) {
 	}
 }
 
-// TestSummaryBatchLateLane: a lane first seen after rows exist must backfill
-// empty slots, and Reset must keep lanes while emptying rows.
+// TestSummaryBatchLateLane: an attribute first observed on a later row must
+// leave earlier rows without it, and Reset must empty every lane.
 func TestSummaryBatchLateLane(t *testing.T) {
 	var b SummaryBatch
 	r0 := b.AppendRow()
-	b.ObserveAt(b.EnsureLane("temperature"), r0, 5)
+	b.ObserveAt(Temperature, r0, 5)
 	r1 := b.AppendRow()
-	late := b.EnsureLane("wind") // backfills r0 and r1
-	b.ObserveAt(late, r1, 9)
+	b.ObserveAt(Snow, r1, 9)
 
 	s0 := b.RowSummary(r0)
-	if _, ok := s0.Stats["wind"]; ok {
-		t.Fatal("backfilled lane leaked a zero-count stat into row 0")
+	if _, ok := s0.Stat("snow"); ok {
+		t.Fatal("a later row's lane leaked a stat into row 0")
 	}
 	s1 := b.RowSummary(r1)
-	if st := s1.Stats["wind"]; st.Count != 1 || st.Sum != 9 {
+	if st, _ := s1.Stat("snow"); st.Count != 1 || st.Sum != 9 {
 		t.Fatalf("late lane row 1 = %+v", st)
 	}
 
@@ -124,7 +114,7 @@ func TestSummaryBatchLateLane(t *testing.T) {
 		t.Fatalf("rows after reset = %d", b.Rows())
 	}
 	r := b.AppendRow()
-	if s := b.RowSummary(r); len(s.Stats) != 0 {
+	if s := b.RowSummary(r); !s.Empty() {
 		t.Fatalf("reused batch invented stats: %+v", s.Stats)
 	}
 }
@@ -146,20 +136,12 @@ func FuzzSummaryBatchRoundTrip(f *testing.F) {
 		for i := 0; i < rows; i++ {
 			as[i] = randBatchSummary(rng)
 			bs[i] = randBatchSummary(rng)
-			ba.AppendSummary(as[i])
-			bb.AppendSummary(bs[i])
+			ba.AppendSummary(&as[i])
+			bb.AppendSummary(&bs[i])
 		}
 		// Round trip: row i must read back as as[i] exactly.
 		for i := 0; i < rows; i++ {
-			got := ba.RowSummary(i)
-			if len(got.Stats) != len(as[i].Stats) {
-				t.Fatalf("row %d attr sets differ", i)
-			}
-			for attr, ws := range as[i].Stats {
-				if gs := got.Stats[attr]; !gs.ApproxEqual(ws, 0) {
-					t.Fatalf("row %d attr %q: got %+v want %+v", i, attr, gs, ws)
-				}
-			}
+			summariesEqual(t, ba.RowSummary(i), as[i], 0)
 		}
 		// Merge equivalence: identity gather of bb into ba == scalar merges.
 		dstRows := make([]int32, rows)
@@ -168,17 +150,9 @@ func FuzzSummaryBatchRoundTrip(f *testing.F) {
 		}
 		ba.MergeRows(dstRows, &bb)
 		for i := 0; i < rows; i++ {
-			want := as[i].Clone()
+			want := as[i]
 			want.Merge(bs[i])
-			got := ba.RowSummary(i)
-			if len(got.Stats) != len(want.Stats) {
-				t.Fatalf("merged row %d attr sets differ: got %v want %v", i, got.Attrs(), want.Attrs())
-			}
-			for attr, ws := range want.Stats {
-				if gs := got.Stats[attr]; !gs.ApproxEqual(ws, 1e-12) {
-					t.Fatalf("merged row %d attr %q: got %+v want %+v", i, attr, gs, ws)
-				}
-			}
+			summariesEqual(t, ba.RowSummary(i), want, 1e-12)
 		}
 	})
 }

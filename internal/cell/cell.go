@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"stash/internal/geohash"
 	"stash/internal/temporal"
@@ -324,107 +323,101 @@ func approxFloat(a, b, eps float64) bool {
 	return d/m < eps
 }
 
+// Attr indexes one attribute of the fixed schema every summary aggregates:
+// the four NAM features the paper names (Table I, §VIII-B), which are the
+// fields of a namgen.Observation. The schema is declared here, once, in name
+// order, so walking a summary by index visits attributes in the order the
+// text edges (wire, export, String) print them. Names exist only in parsers
+// and at those edges; everything between indexes Summary.Stats by Attr.
+type Attr uint8
+
+// The schema. A new attribute goes in at its sorted position, and
+// TestSummaryLayout then fails until the 128-byte rule is dealt with.
+const (
+	Humidity Attr = iota
+	Precipitation
+	Snow
+	Temperature
+)
+
+// NumAttrs is the schema width.
+const NumAttrs = 4
+
+var attrNames = [NumAttrs]string{"humidity", "precipitation", "snow", "temperature"}
+
+// String returns the attribute's name.
+func (a Attr) String() string {
+	if int(a) < NumAttrs {
+		return attrNames[a]
+	}
+	return fmt.Sprintf("attr(%d)", uint8(a))
+}
+
+// AttrByName resolves an attribute name; ok is false for a name outside the
+// schema. Edges that take names from outside the program reject those.
+func AttrByName(name string) (Attr, bool) {
+	for a, n := range attrNames {
+		if n == name {
+			return Attr(a), true
+		}
+	}
+	return 0, false
+}
+
 // Summary is the per-attribute aggregate payload of a Cell — the content
-// returned to clients (paper Table I, "aggregated summary statistics").
-// Hists optionally carries per-attribute distributions for histogram
-// rendering; it is nil unless the aggregation pipeline maintains them.
+// returned to clients (paper Table I, "aggregated summary statistics"): one
+// Stat per schema attribute, where Count > 0 means the attribute was observed.
+//
+// It is a 128-byte pointer-free value, and the 128 is load-bearing: Go stores
+// map elements larger than that indirectly, one allocation each, and
+// query.Result is a map of summaries. Copying a summary copies it whole, so
+// there is no aliasing to reason about. Optional distributions ride beside a
+// summary as a *Hists, never inside it.
 type Summary struct {
-	Stats map[string]Stat
-	Hists map[string]*Histogram
+	Stats [NumAttrs]Stat
 }
 
-// NewSummary returns an empty summary ready for observations.
-func NewSummary() Summary { return Summary{Stats: map[string]Stat{}} }
+// Observe folds one raw value for the attribute.
+func (s *Summary) Observe(a Attr, v float64) { s.Stats[a].Observe(v) }
 
-// Observe folds one raw value for the named attribute.
-func (s *Summary) Observe(attr string, v float64) {
-	if s.Stats == nil {
-		s.Stats = map[string]Stat{}
-	}
-	st := s.Stats[attr]
-	st.Observe(v)
-	s.Stats[attr] = st
-}
-
-// Merge folds another summary into this one, attribute-wise. Histograms
-// merge where both sides keep them with matching shapes; a mismatched or
-// one-sided histogram is dropped rather than silently skewed.
+// Merge folds another summary into this one, attribute-wise.
 func (s *Summary) Merge(o Summary) {
-	if s.Stats == nil {
-		s.Stats = map[string]Stat{}
-	}
-	for attr, st := range o.Stats {
-		cur := s.Stats[attr]
-		cur.Merge(st)
-		s.Stats[attr] = cur
-	}
-	for attr, oh := range o.Hists {
-		if oh == nil {
-			continue
-		}
-		if s.Hists == nil {
-			// Nothing accumulated yet on this side for any attribute: a
-			// clone of the other side's histogram is exact only if this
-			// side has no observations for the attribute.
-			if s.Stats[attr].Count == oh.Total() {
-				s.Hists = map[string]*Histogram{attr: oh.Clone()}
-			}
-			continue
-		}
-		h, ok := s.Hists[attr]
-		if !ok {
-			if s.Stats[attr].Count == oh.Total() {
-				s.Hists[attr] = oh.Clone()
-			}
-			continue
-		}
-		if err := h.Merge(oh); err != nil {
-			delete(s.Hists, attr)
-		}
-	}
-	// Drop histograms the other side tracked stats for but no histogram:
-	// they would under-count relative to Stats.
-	for attr := range s.Hists {
-		if _, inOther := o.Stats[attr]; inOther {
-			if _, histInOther := o.Hists[attr]; !histInOther {
-				delete(s.Hists, attr)
-			}
-		}
+	for a := range s.Stats {
+		s.Stats[a].Merge(o.Stats[a])
 	}
 }
 
-// Clone returns a deep copy of the summary.
-func (s Summary) Clone() Summary {
-	out := Summary{Stats: make(map[string]Stat, len(s.Stats))}
-	for k, v := range s.Stats {
-		out.Stats[k] = v
+// Stat returns the named attribute's aggregate; ok is false when the name is
+// outside the schema or the attribute has no observations.
+func (s Summary) Stat(name string) (Stat, bool) {
+	a, ok := AttrByName(name)
+	if !ok || s.Stats[a].Count == 0 {
+		return Stat{}, false
 	}
-	if s.Hists != nil {
-		out.Hists = make(map[string]*Histogram, len(s.Hists))
-		for k, h := range s.Hists {
-			out.Hists[k] = h.Clone()
-		}
-	}
-	return out
+	return s.Stats[a], true
 }
 
 // Count returns the observation count for the named attribute.
-func (s Summary) Count(attr string) int64 { return s.Stats[attr].Count }
+func (s Summary) Count(name string) int64 {
+	st, _ := s.Stat(name)
+	return st.Count
+}
 
-// Attrs returns the attribute names in sorted order.
+// Attrs returns the names of the observed attributes, in name order.
 func (s Summary) Attrs() []string {
-	out := make([]string, 0, len(s.Stats))
-	for k := range s.Stats {
-		out = append(out, k)
+	out := make([]string, 0, NumAttrs)
+	for a, st := range s.Stats {
+		if st.Count > 0 {
+			out = append(out, attrNames[a])
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Empty reports whether the summary holds no observations at all.
 func (s Summary) Empty() bool {
-	for _, st := range s.Stats {
-		if st.Count > 0 {
+	for a := range s.Stats {
+		if s.Stats[a].Count > 0 {
 			return false
 		}
 	}
@@ -433,7 +426,8 @@ func (s Summary) Empty() bool {
 
 // Cell is a vertex of the STASH graph: a key, its aggregate payload, and the
 // freshness bookkeeping driving cache replacement. Edge information is not
-// stored; it is derived from the Key (see the Key methods above).
+// stored; it is derived from the Key (see the Key methods above). A Cell is
+// pointer-free; the graph keeps its cells by value in per-stripe slabs.
 type Cell struct {
 	Key     Key
 	Summary Summary
@@ -446,11 +440,6 @@ type Cell struct {
 	// LastTouch is the logical tick of the last freshness update, used to
 	// apply decay lazily.
 	LastTouch int64
-}
-
-// New returns a cell for the given key with an empty summary.
-func New(k Key) *Cell {
-	return &Cell{Key: k, Summary: NewSummary()}
 }
 
 // DecayFunc computes the multiplicative freshness decay over elapsed logical

@@ -3,10 +3,13 @@ package cell
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"stash/internal/geohash"
 	"stash/internal/temporal"
@@ -314,20 +317,20 @@ func TestStatMergeEmpty(t *testing.T) {
 }
 
 func TestSummaryObserveMerge(t *testing.T) {
-	a := NewSummary()
-	a.Observe("temperature", 20)
-	a.Observe("temperature", 30)
-	a.Observe("humidity", 0.4)
+	var a Summary
+	a.Observe(Temperature, 20)
+	a.Observe(Temperature, 30)
+	a.Observe(Humidity, 0.4)
 
-	b := NewSummary()
-	b.Observe("temperature", 10)
-	b.Observe("precipitation", 1.5)
+	var b Summary
+	b.Observe(Temperature, 10)
+	b.Observe(Precipitation, 1.5)
 
 	a.Merge(b)
 	if a.Count("temperature") != 3 {
 		t.Errorf("temperature count = %d", a.Count("temperature"))
 	}
-	if st := a.Stats["temperature"]; st.Min != 10 || st.Max != 30 {
+	if st, ok := a.Stat("temperature"); !ok || st.Min != 10 || st.Max != 30 {
 		t.Errorf("temperature stat = %+v", st)
 	}
 	if a.Count("precipitation") != 1 || a.Count("humidity") != 1 {
@@ -341,35 +344,99 @@ func TestSummaryObserveMerge(t *testing.T) {
 
 func TestSummaryZeroValueUsable(t *testing.T) {
 	var s Summary
-	s.Observe("x", 1)
-	if s.Count("x") != 1 {
+	s.Observe(Snow, 1)
+	if s.Count("snow") != 1 {
 		t.Error("zero-value summary should accept observations")
 	}
 	var m Summary
 	m.Merge(s)
-	if m.Count("x") != 1 {
+	if m.Count("snow") != 1 {
 		t.Error("zero-value summary should accept merges")
 	}
 }
 
+// TestSummaryCloneIndependent: a summary is a value, so a copy is a clone.
 func TestSummaryCloneIndependent(t *testing.T) {
-	s := NewSummary()
-	s.Observe("x", 5)
-	c := s.Clone()
-	c.Observe("x", 7)
-	if s.Count("x") != 1 || c.Count("x") != 2 {
-		t.Error("clone not independent")
+	var s Summary
+	s.Observe(Snow, 5)
+	c := s
+	c.Observe(Snow, 7)
+	if s.Count("snow") != 1 || c.Count("snow") != 2 {
+		t.Error("copy not independent")
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	s := NewSummary()
+	var s Summary
 	if !s.Empty() {
-		t.Error("new summary should be empty")
+		t.Error("zero summary should be empty")
 	}
-	s.Observe("x", 0)
+	s.Observe(Snow, 0)
 	if s.Empty() {
 		t.Error("summary with observation reported empty")
+	}
+}
+
+// TestSummaryLayout pins the two properties the data model rests on. Go maps
+// store elements larger than 128 bytes indirectly, one heap allocation per
+// element, and a pointer anywhere in the value makes every map bucket and
+// graph slab something the collector must scan.
+func TestSummaryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Summary{}); n > 128 {
+		t.Errorf("Summary is %d bytes; over 128 a Go map stores each element behind its own allocation, "+
+			"so query.Result costs one allocation per cell again (a fifth attribute needs a narrower Stat or a side table)", n)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Ptr, reflect.Map, reflect.Slice, reflect.String, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %v: Summary must stay pointer-free so copies never alias and slabs of cells are not scanned", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Summary{}), "Summary")
+	walk(reflect.TypeOf(Cell{}), "Cell")
+}
+
+// TestSchemaNamesSortedAndResolvable: walking a summary by index must visit
+// attributes in name order (the wire and export formats print them so), and
+// every name must resolve back to its index.
+func TestSchemaNamesSortedAndResolvable(t *testing.T) {
+	if !sort.StringsAreSorted(attrNames[:]) {
+		t.Errorf("schema names out of order: %v", attrNames)
+	}
+	for a, name := range attrNames {
+		if name == "" {
+			t.Fatalf("attribute %d has no name", a)
+		}
+		if got, ok := AttrByName(name); !ok || got != Attr(a) || got.String() != name {
+			t.Errorf("AttrByName(%q) = %v, %v", name, got, ok)
+		}
+	}
+	if _, ok := AttrByName("wind"); ok {
+		t.Error("name outside the schema resolved")
+	}
+}
+
+// TestSummaryMergeEmptyStatLeavesNoPhantom: merging a side whose stat is
+// empty must not make the attribute appear (the map-backed summary wrote a
+// zero-count entry that Attrs listed and the wire encoded).
+func TestSummaryMergeEmptyStatLeavesNoPhantom(t *testing.T) {
+	var a, b Summary
+	a.Observe(Humidity, 0.5)
+	b.Stats[Snow] = Stat{} // an explicitly empty stat on the other side
+	a.Merge(b)
+	if got := a.Attrs(); len(got) != 1 || got[0] != "humidity" {
+		t.Errorf("attrs after merging an empty stat = %v", got)
+	}
+	if _, ok := a.Stat("snow"); ok {
+		t.Error("empty stat reported present")
 	}
 }
 
@@ -391,7 +458,7 @@ func TestExpDecay(t *testing.T) {
 }
 
 func TestCellTouchAccumulates(t *testing.T) {
-	c := New(MustKey("9q8y7", "2015-03", temporal.Month))
+	c := &Cell{Key: MustKey("9q8y7", "2015-03", temporal.Month)}
 	d := ExpDecay(0) // no decay: freshness is pure access count * inc
 	c.Touch(1, 1.0, d)
 	c.Touch(2, 1.0, d)
@@ -402,7 +469,7 @@ func TestCellTouchAccumulates(t *testing.T) {
 }
 
 func TestCellFreshnessDecays(t *testing.T) {
-	c := New(MustKey("9q8y7", "2015-03", temporal.Month))
+	c := &Cell{Key: MustKey("9q8y7", "2015-03", temporal.Month)}
 	d := ExpDecay(10)
 	c.Touch(0, 8, d)
 	if got := c.FreshnessAt(10, d); math.Abs(got-4) > 1e-9 {
@@ -416,7 +483,7 @@ func TestCellFreshnessDecays(t *testing.T) {
 }
 
 func TestDisperseDoesNotCountAccess(t *testing.T) {
-	c := New(MustKey("9q8y7", "2015-03", temporal.Month))
+	c := &Cell{Key: MustKey("9q8y7", "2015-03", temporal.Month)}
 	d := ExpDecay(0)
 	c.Disperse(1, 0.25, d)
 	if c.Accesses != 0 {
@@ -431,11 +498,11 @@ func TestDisperseDoesNotCountAccess(t *testing.T) {
 // accessed often long ago eventually scores below a recently accessed one.
 func TestRecencyBeatsStaleFrequency(t *testing.T) {
 	d := ExpDecay(50)
-	old := New(MustKey("9q8y7", "2015-03", temporal.Month))
+	old := &Cell{Key: MustKey("9q8y7", "2015-03", temporal.Month)}
 	for i := int64(0); i < 20; i++ {
 		old.Touch(i, 1, d)
 	}
-	recent := New(MustKey("9q8y6", "2015-03", temporal.Month))
+	recent := &Cell{Key: MustKey("9q8y6", "2015-03", temporal.Month)}
 	recent.Touch(500, 1, d)
 	recent.Touch(501, 1, d)
 
@@ -447,9 +514,9 @@ func TestRecencyBeatsStaleFrequency(t *testing.T) {
 }
 
 func BenchmarkSummaryObserve(b *testing.B) {
-	s := NewSummary()
+	var s Summary
 	for i := 0; i < b.N; i++ {
-		s.Observe("temperature", float64(i%40))
+		s.Observe(Temperature, float64(i%40))
 	}
 }
 

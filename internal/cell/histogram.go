@@ -129,7 +129,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Hi
 }
 
-// --- Summary integration ---
+// --- distributions beside a summary ---
 
 // HistogramSpec describes the histogram an aggregation pipeline should
 // maintain for one attribute.
@@ -138,25 +138,76 @@ type HistogramSpec struct {
 	Buckets int
 }
 
-// ObserveHist folds a value into the summary's histogram for the attribute,
-// creating it with the given spec on first use. It complements Observe —
-// callers that want distributions call both.
-func (s *Summary) ObserveHist(attr string, v float64, spec HistogramSpec) error {
-	if s.Hists == nil {
-		s.Hists = map[string]*Histogram{}
-	}
-	h, ok := s.Hists[attr]
-	if !ok {
-		var err error
-		h, err = NewHistogram(spec.Lo, spec.Hi, spec.Buckets)
+// Hists is the optional set of per-attribute distributions kept beside a
+// Summary (in a graph record, in query.Result's side table) when the
+// aggregation pipeline maintains histograms; a nil *Hists, or a nil entry,
+// means none is kept. Sets reachable from a cache or a result are shared and
+// never mutated: a scan observes into a set it owns, and merging goes through
+// Fold on a private clone.
+type Hists [NumAttrs]*Histogram
+
+// Observe folds a value into the attribute's histogram, creating it with the
+// given spec on first use. The caller must own h.
+func (h *Hists) Observe(a Attr, v float64, spec HistogramSpec) error {
+	if h[a] == nil {
+		hist, err := NewHistogram(spec.Lo, spec.Hi, spec.Buckets)
 		if err != nil {
 			return err
 		}
-		s.Hists[attr] = h
+		h[a] = hist
 	}
-	h.Observe(v)
+	h[a].Observe(v)
 	return nil
 }
 
-// Hist returns the attribute's histogram, or nil if none is kept.
-func (s Summary) Hist(attr string) *Histogram { return s.Hists[attr] }
+// Hist returns the named attribute's histogram, or nil if none is kept.
+func (h *Hists) Hist(name string) *Histogram {
+	a, ok := AttrByName(name)
+	if h == nil || !ok {
+		return nil
+	}
+	return h[a]
+}
+
+// Clone returns a deep copy; nil clones to nil.
+func (h *Hists) Clone() *Hists {
+	if h == nil {
+		return nil
+	}
+	out := new(Hists)
+	for a, hist := range h {
+		out[a] = hist.Clone()
+	}
+	return out
+}
+
+// Fold merges the distributions kept beside another summary into h, which the
+// caller must own (its histograms are updated in place; o is only read).
+// merged is the merge of the two summaries. A histogram survives only while
+// it still accounts for every observation merged counts: one side observing
+// an attribute without keeping its distribution, or two shapes that do not
+// match, drop it rather than leave it silently under-counting.
+func (h *Hists) Fold(o *Hists, merged *Summary) {
+	for a := range h {
+		var oh *Histogram
+		if o != nil {
+			oh = o[a]
+		}
+		switch {
+		case h[a] != nil && oh != nil:
+			if h[a].Merge(oh) != nil {
+				h[a] = nil
+			}
+		case oh != nil:
+			h[a] = oh.Clone()
+		}
+		if h[a] != nil && h[a].Total() != merged.Stats[a].Count {
+			h[a] = nil
+		}
+	}
+}
+
+// None reports whether the set keeps no histogram at all.
+func (h *Hists) None() bool {
+	return h == nil || *h == Hists{}
+}

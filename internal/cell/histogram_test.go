@@ -179,82 +179,127 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 }
 
 func TestSummaryObserveHist(t *testing.T) {
-	s := NewSummary()
+	var s Summary
+	var h Hists
 	spec := HistogramSpec{Lo: 0, Hi: 10, Buckets: 5}
 	for _, v := range []float64{1, 3, 5} {
-		s.Observe("x", v)
-		if err := s.ObserveHist("x", v, spec); err != nil {
+		s.Observe(Snow, v)
+		if err := h.Observe(Snow, v, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h := s.Hist("x")
-	if h == nil || h.Total() != 3 {
-		t.Fatalf("hist = %+v", h)
+	if got := h.Hist("snow"); got == nil || got.Total() != s.Count("snow") {
+		t.Fatalf("hist = %+v", got)
 	}
-	if s.Hist("missing") != nil {
+	if h.Hist("humidity") != nil || h.Hist("wind") != nil {
 		t.Error("absent attribute returned a histogram")
 	}
-	if err := s.ObserveHist("y", 1, HistogramSpec{Lo: 5, Hi: 1, Buckets: 3}); err == nil {
+	if (*Hists)(nil).Hist("snow") != nil {
+		t.Error("nil set returned a histogram")
+	}
+	if err := h.Observe(Humidity, 1, HistogramSpec{Lo: 5, Hi: 1, Buckets: 3}); err == nil {
 		t.Error("bad spec accepted")
 	}
 }
 
+// histCell is a summary with its distributions beside it.
+type histCell struct {
+	sum   Summary
+	hists *Hists
+}
+
+// fold merges o into c the way every holder of a (summary, hists) pair does:
+// merge the stats, then fold the distributions into a private clone.
+func (c *histCell) fold(o histCell) {
+	c.sum.Merge(o.sum)
+	own := c.hists.Clone()
+	if own == nil {
+		own = new(Hists)
+	}
+	own.Fold(o.hists, &c.sum)
+	c.hists = own
+}
+
 func TestSummaryMergeHistograms(t *testing.T) {
 	spec := HistogramSpec{Lo: 0, Hi: 10, Buckets: 5}
-	mk := func(vals ...float64) Summary {
-		s := NewSummary()
+	mk := func(vals ...float64) histCell {
+		c := histCell{hists: new(Hists)}
 		for _, v := range vals {
-			s.Observe("x", v)
-			_ = s.ObserveHist("x", v, spec)
+			c.sum.Observe(Snow, v)
+			_ = c.hists.Observe(Snow, v, spec)
 		}
-		return s
+		return c
 	}
 	a := mk(1, 2)
 	b := mk(3, 4, 5)
-	a.Merge(b)
-	if got := a.Hist("x").Total(); got != 5 {
+	a.fold(b)
+	if got := a.hists.Hist("snow").Total(); got != 5 {
 		t.Errorf("merged hist total = %d", got)
 	}
-	if a.Count("x") != 5 {
-		t.Errorf("merged stat count = %d", a.Count("x"))
+	if a.sum.Count("snow") != 5 {
+		t.Errorf("merged stat count = %d", a.sum.Count("snow"))
+	}
+	if b.hists.Hist("snow").Total() != 3 {
+		t.Error("Fold mutated the set it read")
 	}
 }
 
 func TestSummaryMergeDropsUndercountingHist(t *testing.T) {
 	spec := HistogramSpec{Lo: 0, Hi: 10, Buckets: 5}
-	withHist := NewSummary()
-	withHist.Observe("x", 1)
-	_ = withHist.ObserveHist("x", 1, spec)
-
-	statsOnly := NewSummary()
-	statsOnly.Observe("x", 2)
-
-	// Merging a stats-only summary in must drop the histogram: it would
-	// under-count relative to the merged Stats.
-	withHist.Merge(statsOnly)
-	if withHist.Hist("x") != nil {
-		t.Error("undercounting histogram survived merge")
+	mk := func(v float64, keep bool) histCell {
+		var c histCell
+		c.sum.Observe(Snow, v)
+		if keep {
+			c.hists = new(Hists)
+			_ = c.hists.Observe(Snow, v, spec)
+		}
+		return c
 	}
 
-	// Conversely, merging a hist-carrying summary into a stats-only one
-	// adopts the histogram only if it covers every merged observation.
-	statsOnly2 := NewSummary()
-	statsOnly2.Observe("x", 2)
-	full := NewSummary()
-	full.Observe("x", 1)
-	_ = full.ObserveHist("x", 1, spec)
-	statsOnly2.Merge(full)
-	if statsOnly2.Hist("x") != nil {
+	// Merging a stats-only cell in must drop the histogram: it would
+	// under-count relative to the merged stats.
+	withHist := mk(1, true)
+	withHist.fold(mk(2, false))
+	if withHist.hists.Hist("snow") != nil {
+		t.Error("undercounting histogram survived merge")
+	}
+	if !withHist.hists.None() {
+		t.Error("a set with every histogram dropped should report None")
+	}
+
+	// Conversely, merging a hist-carrying cell into a stats-only one adopts
+	// the histogram only if it covers every merged observation.
+	statsOnly := mk(2, false)
+	statsOnly.fold(mk(1, true))
+	if statsOnly.hists.Hist("snow") != nil {
 		t.Error("partial histogram adopted")
+	}
+	var empty histCell // a negative-cache entry
+	empty.fold(mk(1, true))
+	if h := empty.hists.Hist("snow"); h == nil || h.Total() != 1 {
+		t.Error("histogram covering every observation not adopted")
+	}
+
+	// Two shapes that do not match cannot merge: dropped, not skewed.
+	other := histCell{hists: new(Hists)}
+	other.sum.Observe(Snow, 3)
+	_ = other.hists.Observe(Snow, 3, HistogramSpec{Lo: 0, Hi: 20, Buckets: 5})
+	mismatched := mk(1, true)
+	mismatched.fold(other)
+	if mismatched.hists.Hist("snow") != nil {
+		t.Error("mismatched shapes merged")
 	}
 }
 
 func TestSummaryCloneDeepCopiesHists(t *testing.T) {
-	s := NewSummary()
-	_ = s.ObserveHist("x", 1, HistogramSpec{Lo: 0, Hi: 10, Buckets: 5})
-	c := s.Clone()
-	c.Hist("x").Observe(2)
-	if s.Hist("x").Total() != 1 || c.Hist("x").Total() != 2 {
+	h := new(Hists)
+	_ = h.Observe(Snow, 1, HistogramSpec{Lo: 0, Hi: 10, Buckets: 5})
+	c := h.Clone()
+	c.Hist("snow").Observe(2)
+	if h.Hist("snow").Total() != 1 || c.Hist("snow").Total() != 2 {
 		t.Error("clone shares histogram storage")
+	}
+	if (*Hists)(nil).Clone() != nil {
+		t.Error("nil set should clone to nil")
 	}
 }

@@ -601,10 +601,10 @@ func TestScatterPartitionFoldMatchesBundle(t *testing.T) {
 			for attr, d := range ds.Stats {
 				s := ss.Stats[attr]
 				if d.Count != s.Count || d.Min != s.Min || d.Max != s.Max {
-					t.Fatalf("node %v cell %v attr %s: %+v != %+v", id, k, attr, d, s)
+					t.Fatalf("node %v cell %v attr %d: %+v != %+v", id, k, attr, d, s)
 				}
 				if diff := math.Abs(d.Sum - s.Sum); diff > 1e-6*math.Max(1, math.Abs(d.Sum)) {
-					t.Fatalf("node %v cell %v attr %s: sums differ beyond association error: %v vs %v",
+					t.Fatalf("node %v cell %v attr %d: sums differ beyond association error: %v vs %v",
 						id, k, attr, d.Sum, s.Sum)
 				}
 			}

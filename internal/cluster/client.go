@@ -62,7 +62,9 @@ func (cl *Client) Query(q query.Query) (query.Result, error) {
 // the whole evaluation is recorded as a span tree rooted at "query".
 func (cl *Client) QueryContext(ctx context.Context, q query.Query) (query.Result, error) {
 	ctx, qs := obs.StartSpan(ctx, "query")
-	qs.SetAttr("query", q.String())
+	if qs != nil { // String() allocates
+		qs.SetAttr("query", q.String())
+	}
 	defer qs.End()
 	if err := q.Validate(); err != nil {
 		return query.Result{}, err
@@ -70,7 +72,7 @@ func (cl *Client) QueryContext(ctx context.Context, q query.Query) (query.Result
 	fpStart := time.Now()
 	_, fps := obs.StartSpan(ctx, "footprint")
 	keys, err := q.Footprint()
-	fps.SetAttr("keys", fmt.Sprint(len(keys)))
+	fps.SetInt("keys", len(keys))
 	fps.End()
 	fpDur := time.Since(fpStart)
 	mStageFootprint.ObserveDuration(fpDur)
@@ -180,7 +182,7 @@ func (cl *Client) fetchFailFast(ctx context.Context, byNode map[dht.NodeID][]cel
 
 	fanStart := time.Now()
 	fanCtx, fanSpan := obs.StartSpan(ctx, "fanout")
-	fanSpan.SetAttr("shares", fmt.Sprint(len(byNode)))
+	fanSpan.SetInt("shares", len(byNode))
 
 	fi := newFanIn(cl.cluster.cfg.FanInWorkers)
 	var mu sync.Mutex
@@ -191,8 +193,10 @@ func (cl *Client) fetchFailFast(ctx context.Context, byNode map[dht.NodeID][]cel
 		go func(id dht.NodeID, ks []cell.Key) {
 			defer wg.Done()
 			shareCtx, ss := obs.StartSpan(fanCtx, "share")
-			ss.SetAttr("node", id.String())
-			ss.SetAttr("keys", fmt.Sprint(len(ks)))
+			if ss != nil { // String() allocates
+				ss.SetAttr("node", id.String())
+			}
+			ss.SetInt("keys", len(ks))
 			var res query.Result
 			var err error
 			if n := cl.cluster.node(id); n != nil {
@@ -266,7 +270,7 @@ func (cl *Client) fetchResilient(ctx context.Context, byNode map[dht.NodeID][]ce
 
 	fanStart := time.Now()
 	fanCtx, fanSpan := obs.StartSpan(ctx, "fanout")
-	fanSpan.SetAttr("shares", fmt.Sprint(len(byNode)))
+	fanSpan.SetInt("shares", len(byNode))
 
 	fi := newFanIn(cl.cluster.cfg.FanInWorkers)
 	outs := make([]*shareOutcome, 0, len(byNode))
@@ -386,8 +390,10 @@ func (cl *Client) fetchResilient(ctx context.Context, byNode map[dht.NodeID][]ce
 // any key stayed unserved.
 func (cl *Client) fetchShare(ctx context.Context, o *shareOutcome, rc ResilienceConfig) {
 	ctx, ss := obs.StartSpan(ctx, "share")
-	ss.SetAttr("node", o.id.String())
-	ss.SetAttr("keys", fmt.Sprint(len(o.keys)))
+	if ss != nil { // String() allocates
+		ss.SetAttr("node", o.id.String())
+	}
+	ss.SetInt("keys", len(o.keys))
 	defer ss.End()
 	o.served = make(map[cell.Key]bool, len(o.keys))
 	node := cl.cluster.node(o.id)
@@ -620,9 +626,9 @@ func (cl *Client) scatterFetch(ctx context.Context, n *Node, keys []cell.Key, rc
 			fails = 0
 			if sum, found := r.Cells[pk]; found {
 				if part.Cells == nil {
-					part = query.GetResult()
+					part = query.GetResult(1)
 				}
-				part.Add(k, sum)
+				part.AddCell(k, sum, r.Hists[pk])
 			}
 			query.PutResult(r)
 		}
@@ -686,6 +692,60 @@ func (cl *Client) GroupByOwner(keys []cell.Key) map[dht.NodeID][]cell.Key {
 	return cl.groupByOwner(cl.cluster.Ring(), keys)
 }
 
+// ownerScratch is groupByOwner's working memory, pooled so that grouping a
+// footprint allocates only what it returns.
+type ownerScratch struct {
+	seen   cell.Index   // footprint dedup
+	owner  []dht.NodeID // by key index: a fine key's owner, or one of the marks below
+	counts []ownerCount // keys per owner, in first-seen order
+	ids    []dht.NodeID // one coarse key's distinct owners
+}
+
+// ownerCount is one owner's share: n keys, the next of which goes to
+// position at of the backing array.
+type ownerCount struct {
+	id    dht.NodeID
+	n, at int
+}
+
+// Marks in ownerScratch.owner; node IDs are never negative.
+const (
+	ownerRepeat dht.NodeID = -1 - iota // a repeat of an earlier key
+	ownerCoarse                        // coarser than the partition prefix: several owners
+)
+
+var ownerScratchPool = sync.Pool{New: func() any { return new(ownerScratch) }}
+
+// share returns the entry of the given owner, adding it on first sight.
+// Owners per footprint are a handful, so a scan beats a map.
+func (sc *ownerScratch) share(id dht.NodeID) *ownerCount {
+	for i := range sc.counts {
+		if sc.counts[i].id == id {
+			return &sc.counts[i]
+		}
+	}
+	sc.counts = append(sc.counts, ownerCount{id: id})
+	return &sc.counts[len(sc.counts)-1]
+}
+
+// coarseOwners lists in sc.ids the distinct owners of the partitions extending
+// a geohash shorter than the partition prefix, in partition order.
+func (sc *ownerScratch) coarseOwners(ring *dht.Ring, gh geohash.Hash) []dht.NodeID {
+	sc.ids = sc.ids[:0]
+	plen := ring.PrefixLen()
+next:
+	for p, np := 0, gh.ExtensionCount(plen); p < np; p++ {
+		id := ring.OwnerOfPartition(gh.Extension(plen, p))
+		for _, have := range sc.ids {
+			if have == id {
+				continue next
+			}
+		}
+		sc.ids = append(sc.ids, id)
+	}
+	return sc.ids
+}
+
 // groupByOwner assigns every key to the node(s) owning its backing
 // partitions. Keys at or finer than the partition prefix have exactly one
 // owner; coarser keys span every extending partition, and each owner
@@ -694,35 +754,67 @@ func (cl *Client) GroupByOwner(keys []cell.Key) map[dht.NodeID][]cell.Key {
 // Repeated keys in the footprint (overlapping viewport tiles, duplicated
 // drill-down cells) are elided before fan-out: a duplicate would only make
 // the owner serve — and the wire carry — the same summary twice.
+//
+// A counting pass sizes every share, so the shares are carved from one
+// allocation (each capped at its length: appending to one cannot reach the
+// next) and filled in footprint order.
 func (cl *Client) groupByOwner(ring *dht.Ring, keys []cell.Key) map[dht.NodeID][]cell.Key {
 	plen := ring.PrefixLen()
-	out := map[dht.NodeID][]cell.Key{}
-	seenKey := make(map[cell.Key]struct{}, len(keys))
-	dups := 0
-	for _, k := range keys {
-		if _, dup := seenKey[k]; dup {
+	sc := ownerScratchPool.Get().(*ownerScratch)
+	defer ownerScratchPool.Put(sc)
+	sc.seen.Reset(len(keys))
+	sc.counts = sc.counts[:0]
+	if cap(sc.owner) < len(keys) {
+		sc.owner = make([]dht.NodeID, len(keys))
+	}
+	owner := sc.owner[:len(keys)]
+	dups, total := 0, 0
+	for i, k := range keys {
+		switch _, fresh := sc.seen.GetOrInsert(k, 0); {
+		case !fresh:
+			owner[i] = ownerRepeat
 			dups++
-			continue
-		}
-		seenKey[k] = struct{}{}
-		if k.Geohash.Len() >= plen {
-			id := ring.Owner(k.Geohash)
-			out[id] = append(out[id], k)
-			continue
-		}
-		// Coarse key: fan out to every owner of an extending partition,
-		// deduplicating per node.
-		seen := map[dht.NodeID]bool{}
-		for _, p := range k.Geohash.Extensions(plen) {
-			id := ring.OwnerOfPartition(p)
-			if !seen[id] {
-				seen[id] = true
-				out[id] = append(out[id], k)
+		case k.Geohash.Len() >= plen:
+			owner[i] = ring.Owner(k.Geohash)
+			sc.share(owner[i]).n++
+			total++
+		default:
+			owner[i] = ownerCoarse
+			for _, id := range sc.coarseOwners(ring, k.Geohash) {
+				sc.share(id).n++
+				total++
 			}
 		}
 	}
 	if dups > 0 {
 		mCoordDedupKeys.Add(int64(dups))
+	}
+
+	backing := make([]cell.Key, total)
+	at := 0
+	for i := range sc.counts {
+		sc.counts[i].at = at
+		at += sc.counts[i].n
+	}
+	place := func(id dht.NodeID, k cell.Key) {
+		c := sc.share(id)
+		backing[c.at] = k
+		c.at++
+	}
+	for i, k := range keys {
+		switch id := owner[i]; id {
+		case ownerRepeat:
+		case ownerCoarse:
+			for _, id := range sc.coarseOwners(ring, k.Geohash) {
+				place(id, k)
+			}
+		default:
+			place(id, k)
+		}
+	}
+	out := make(map[dht.NodeID][]cell.Key, len(sc.counts))
+	for _, c := range sc.counts {
+		out[c.id] = backing[c.at-c.n : c.at : c.at]
 	}
 	return out
 }

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"stash/internal/cell"
 	"sync"
 	"testing"
 	"time"
 
 	"stash/internal/geohash"
-	"stash/internal/namgen"
 	"stash/internal/query"
 	"stash/internal/replication"
 	"stash/internal/simnet"
@@ -84,10 +84,10 @@ func TestQueryMatchesBasicSystem(t *testing.T) {
 			if !ok {
 				t.Fatalf("round %d: missing cell %v", round, k)
 			}
-			for _, attr := range namgen.Attributes {
+			for attr := range ws.Stats {
 				a, b := ws.Stats[attr], gs.Stats[attr]
 				if a.Count != b.Count || a.Min != b.Min || a.Max != b.Max || a.Sum != b.Sum {
-					t.Fatalf("round %d: cell %v attr %s: %+v != %+v", round, k, attr, a, b)
+					t.Fatalf("round %d: cell %v attr %v: %+v != %+v", round, k, cell.Attr(attr), a, b)
 				}
 			}
 		}
@@ -536,7 +536,7 @@ func TestUpdateBlockServesNewData(t *testing.T) {
 	changed := false
 	for k, gs := range got.Cells {
 		os, ok := old.Cells[k]
-		if !ok || gs.Stats["temperature"] != os.Stats["temperature"] {
+		if !ok || gs.Stats[cell.Temperature] != os.Stats[cell.Temperature] {
 			changed = true
 			break
 		}
@@ -564,7 +564,7 @@ func TestHistogramsEndToEnd(t *testing.T) {
 	}
 	checked := 0
 	for k, s := range res.Cells {
-		h := s.Hist("temperature")
+		h := res.Hists[k].Hist("temperature")
 		if h == nil {
 			t.Fatalf("cell %v missing temperature histogram", k)
 		}
@@ -583,7 +583,7 @@ func TestHistogramsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, s := range res2.Cells {
-		if h := s.Hist("temperature"); h == nil || h.Total() != s.Count("temperature") {
+		if h := res2.Hists[k].Hist("temperature"); h == nil || h.Total() != s.Count("temperature") {
 			t.Fatalf("warm cell %v histogram wrong", k)
 		}
 	}
@@ -669,7 +669,7 @@ func TestPolygonQueryEndToEnd(t *testing.T) {
 		if !ok {
 			t.Fatalf("polygon cell %v missing from bbox result", k)
 		}
-		if ps.Stats["temperature"] != rs.Stats["temperature"] {
+		if ps.Stats[cell.Temperature] != rs.Stats[cell.Temperature] {
 			t.Fatalf("cell %v differs between polygon and bbox query", k)
 		}
 	}

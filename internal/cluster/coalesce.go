@@ -149,13 +149,13 @@ func (co *coalescer) fetch(ctx context.Context, n *Node, keys []cell.Key) (query
 		}
 		// Demux: project the caller's keys out of the batch result into a
 		// pooled Result (the coordinator's fan-in recycles it after the
-		// merge). The summaries are shared with the batch result and the
-		// other waiters — safe, because result summaries are immutable by
-		// convention and query.Result.Add clones before any merge.
-		out := query.GetResult()
+		// merge). Summaries are copied; histogram sets stay shared with the
+		// batch result and the other waiters — safe, because they are
+		// immutable by convention (see query.Result).
+		out := query.GetResult(len(keys))
 		for _, k := range keys {
 			if s, ok := b.res.Cells[k]; ok {
-				out.Add(k, s)
+				out.Set(k, s, b.res.Hists[k])
 			}
 		}
 		return out, nil

@@ -111,7 +111,7 @@ func TestCoalesceDemuxProjectsEachCallersKeys(t *testing.T) {
 		if k != sub[0] {
 			t.Errorf("subset caller received foreign key %v", k)
 		}
-		if fs, ok := full.Cells[k]; ok && fs.Stats["temperature"].Count != s.Stats["temperature"].Count {
+		if fs, ok := full.Cells[k]; ok && fs.Stats[cell.Temperature].Count != s.Stats[cell.Temperature].Count {
 			t.Errorf("demuxed summary diverges from batch summary for %v", k)
 		}
 	}
@@ -342,8 +342,8 @@ func TestSingleflightClaimPublishWait(t *testing.T) {
 	n.sfPublish(owned3, entries3, query.NewResult(), nil)
 
 	res := query.NewResult()
-	s := cell.NewSummary()
-	s.Observe("temperature", 21.5)
+	s := cell.Summary{}
+	s.Observe(cell.Temperature, 21.5)
 	res.Add(k, s)
 	n.sfPublish(owned, entries, res, nil)
 
@@ -352,7 +352,7 @@ func TestSingleflightClaimPublishWait(t *testing.T) {
 	if err != nil || len(fallback) != 0 {
 		t.Fatalf("wait: fallback=%v err=%v", fallback, err)
 	}
-	if got := dst.Cells[k].Stats["temperature"].Count; got != 1 {
+	if got := dst.Cells[k].Stats[cell.Temperature].Count; got != 1 {
 		t.Errorf("waiter did not receive the published summary (count=%d)", got)
 	}
 	n.sfMu.Lock()

@@ -4,8 +4,10 @@ package cluster
 // coordinator folded node replies one at a time after the fan-out barrier —
 // O(k) merge work on one goroutine for k owner shares. The fanIn merges
 // replies PAIRWISE AS THEY LAND, on the reply goroutines themselves: each
-// arriving partial either parks (no partner waiting) or grabs the parked
-// partner and merges with it, repeating until it parks or everything folded.
+// arriving reply folds into a parked partial if there is one (into an arena
+// of its own if not), and the resulting partial either parks (no partner
+// waiting) or grabs the parked partner and merges with it, repeating until it
+// parks or everything folded.
 // With replies arriving concurrently this is a tournament tree — merge
 // latency O(log k) in the share count — and the merges run on the already-
 // running reply goroutines, bounded by a small semaphore so a huge fan-out
@@ -67,9 +69,8 @@ func newFanIn(workers int) *fanIn {
 }
 
 // add folds one share result into the tournament. When owned is true the
-// fan-in takes ownership of res's cells map and recycles it (the summaries
-// inside are shared and immutable; only the map carcass is pooled) — pass
-// false for results the caller retains.
+// fan-in takes ownership of res's cells map and recycles it once its cells
+// are copied into the arena — pass false for results the caller retains.
 func (f *fanIn) add(res query.Result, owned bool) {
 	if res.Len() == 0 {
 		if owned {
@@ -84,15 +85,27 @@ func (f *fanIn) add(res query.Result, owned bool) {
 		f.mu.Unlock()
 		return
 	}
-	c := query.GetColumnar()
-	c.MergeResult(res)
+	// A reply that finds a partial parked folds straight into that partial's
+	// arena; only one that finds nobody builds an arena of its own. Either
+	// way its cells are indexed once.
+	f.mu.Lock()
+	f.parts++
+	var p fanInPartial
+	if n := len(f.pending); n > 0 {
+		p = f.pending[n-1]
+		f.pending = f.pending[:n-1]
+	}
+	f.mu.Unlock()
+	if p.res == nil {
+		p.res = query.GetColumnar()
+	}
+	p.res.MergeResult(res)
+	p.depth++
 	if owned {
 		query.PutResult(res)
 	}
-	p := fanInPartial{res: c, depth: 1}
 
 	f.mu.Lock()
-	f.parts++
 	for {
 		if len(f.pending) == 0 {
 			if p.depth > f.maxDepth {

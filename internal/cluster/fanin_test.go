@@ -24,9 +24,9 @@ func fanParts(seed int64, parts, keysPerPart, universe int) []query.Result {
 	for p := range out {
 		out[p] = query.NewResult()
 		for i := 0; i < keysPerPart; i++ {
-			s := cell.NewSummary()
-			s.Observe("temperature", rng.NormFloat64()*30)
-			s.Observe("humidity", rng.Float64()*100)
+			s := cell.Summary{}
+			s.Observe(cell.Temperature, rng.NormFloat64()*30)
+			s.Observe(cell.Humidity, rng.Float64()*100)
 			out[p].Add(fanKey(rng.Intn(universe)), s)
 		}
 	}
@@ -102,13 +102,13 @@ func TestFanInOwnedRecycling(t *testing.T) {
 
 	fi := newFanIn(2)
 	for _, p := range parts {
-		owned := query.GetResult()
+		owned := query.GetResult(p.Len())
 		for k, s := range p.Cells {
 			owned.Add(k, s)
 		}
 		fi.add(owned, true)
 	}
-	fi.add(query.GetResult(), true) // empty owned result: skipped, recycled
+	fi.add(query.GetResult(0), true) // empty owned result: skipped, recycled
 	requireSameCells(t, fi.finish(), want)
 }
 

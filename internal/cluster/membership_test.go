@@ -41,7 +41,7 @@ func sameResult(t *testing.T, got, want query.Result, label string) {
 		for attr, st := range s.Stats {
 			g := gs.Stats[attr]
 			if g.Count != st.Count {
-				t.Fatalf("%s: cell %v attr %s: got count=%d, want count=%d",
+				t.Fatalf("%s: cell %v attr %d: got count=%d, want count=%d",
 					label, k, attr, g.Count, st.Count)
 			}
 		}
@@ -156,8 +156,8 @@ func TestJoinMigratesResidentCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := cell.NewSummary()
-		s.Observe("temperature", 1)
+		s := cell.Summary{}
+		s.Observe(cell.Temperature, 1)
 		owner := ring.Owner(k.Geohash)
 		r, ok := seed[owner]
 		if !ok {
@@ -324,7 +324,7 @@ func TestQueriesDuringChurn(t *testing.T) {
 					}
 					for k, s := range want.Cells {
 						g, ok := res.Cells[k]
-						if !ok || g.Stats["temperature"].Count != s.Stats["temperature"].Count {
+						if !ok || g.Stats[cell.Temperature].Count != s.Stats[cell.Temperature].Count {
 							errCh <- fmt.Errorf("complete result diverges at %v", k)
 							return
 						}

@@ -370,7 +370,9 @@ func (n *Node) FetchGuest(ctx context.Context, keys []cell.Key) (query.Result, [
 func (n *Node) enqueue(ctx context.Context, keys []cell.Key, guest bool) (fetchReply, error) {
 	c := n.cluster
 	ctx, sp := obs.StartSpan(ctx, "node.request")
-	sp.SetAttr("node", n.id.String())
+	if sp != nil { // String() allocates
+		sp.SetAttr("node", n.id.String())
+	}
 	if guest {
 		sp.SetAttr("guest", "true")
 	}
@@ -528,7 +530,9 @@ func (n *Node) handle(t fetchTask) {
 		ctx = context.Background()
 	}
 	ctx, sp := obs.StartSpan(ctx, "node.serve")
-	sp.SetAttr("node", n.id.String())
+	if sp != nil { // String() allocates
+		sp.SetAttr("node", n.id.String())
+	}
 	defer sp.End()
 	if t.guest {
 		t.reply <- n.handleGuest(ctx, t.keys)
@@ -547,7 +551,7 @@ func (n *Node) handleGuest(ctx context.Context, keys []cell.Key) fetchReply {
 	start := time.Now()
 	_, gs := obs.StartSpan(ctx, "graph.get")
 	found, missing := n.guest.GetBatch(keys)
-	gs.SetAttr("hits", fmt.Sprint(found.Len()))
+	gs.SetInt("hits", found.Len())
 	gs.End()
 	getDur := time.Since(start)
 	mStageGraphGet.ObserveDuration(getDur)
@@ -584,7 +588,7 @@ func (n *Node) handleLocal(ctx context.Context, keys []cell.Key, epoch uint64) f
 	getStart := time.Now()
 	_, gs := obs.StartSpan(ctx, "graph.get")
 	found, missing := n.graph.GetBatch(keys)
-	gs.SetAttr("hits", fmt.Sprint(len(keys)-len(missing)))
+	gs.SetInt("hits", len(keys)-len(missing))
 	gs.End()
 	getDur := time.Since(getStart)
 	mStageGraphGet.ObserveDuration(getDur)
@@ -602,8 +606,12 @@ func (n *Node) handleLocal(ctx context.Context, keys []cell.Key, epoch uint64) f
 		}
 		n.diskCells.Add(int64(len(keys)))
 		prof.AddDiskCells(len(keys))
+		// The scan goes to the population pool, which reads it after this
+		// reply (and its map) has been recycled: answer with a copy.
+		found.Reset()
+		mergeResolved(&found, res)
 		n.populate(res, keys, epoch)
-		return fetchReply{result: res}
+		return fetchReply{result: found}
 	}
 
 	if !n.cluster.cfg.ServeSingleflight {
@@ -662,7 +670,7 @@ func (n *Node) resolveMisses(ctx context.Context, missing []cell.Key, dst *query
 	n.popGate.RLock()
 	derived, unfetched := n.graph.DeriveBatch(missing)
 	n.popGate.RUnlock()
-	drs.SetAttr("derived", fmt.Sprint(derived.Len()))
+	drs.SetInt("derived", derived.Len())
 	drs.End()
 	deriveDur := time.Since(deriveStart)
 	mStageDerive.ObserveDuration(deriveDur)
@@ -695,16 +703,18 @@ func (n *Node) resolveMisses(ctx context.Context, missing []cell.Key, dst *query
 // mergeResolved assembles one resolution tier's cells into the reply by
 // direct insert. The tiers are disjoint by construction — derived and
 // disk-scanned keys were graph misses (absent from the served cells), and
-// DeriveBatch hands the disk scan only the keys it could not derive — so the
-// clone-on-collision merge path can never fire and each cell costs exactly
-// one map insert. The inserted summaries stay shared (and immutable by
-// convention) with the population task and the cache.
+// DeriveBatch hands the disk scan only the keys it could not derive — so
+// nothing ever merges and each cell costs exactly one map insert. Histogram
+// sets stay shared (and immutable by convention) with the population task and
+// the cache.
 func mergeResolved(dst *query.Result, src query.Result) {
 	if dst.Cells == nil {
-		dst.Cells = make(map[cell.Key]cell.Summary, src.Len())
+		// Nothing was served from the cache: the reply map starts here, from
+		// the same pool GetBatch would have drawn it from.
+		dst.Cells = query.GetResult(src.Len()).Cells
 	}
 	for k, s := range src.Cells {
-		dst.Cells[k] = s
+		dst.Set(k, s, src.Hists[k])
 	}
 }
 
@@ -714,6 +724,7 @@ func mergeResolved(dst *query.Result, src query.Result) {
 type sfEntry struct {
 	done  chan struct{}
 	sum   cell.Summary
+	hists *cell.Hists
 	found bool // key produced data (false = genuinely empty, not an error)
 	err   error
 }
@@ -755,6 +766,7 @@ func (n *Node) sfPublish(owned []cell.Key, entries []*sfEntry, res query.Result,
 			e.err = err
 		} else {
 			e.sum, e.found = res.Cells[k]
+			e.hists = res.Hists[k]
 		}
 		close(e.done)
 	}
@@ -787,7 +799,7 @@ func (n *Node) sfWait(ctx context.Context, waits map[cell.Key]*sfEntry, dst *que
 		}
 		shared++
 		if e.found {
-			dst.Add(k, e.sum)
+			dst.Set(k, e.sum, e.hists)
 		}
 	}
 	mSFShared.Add(int64(shared))
@@ -799,7 +811,7 @@ func (n *Node) sfWait(ctx context.Context, waits map[cell.Key]*sfEntry, dst *que
 func (n *Node) diskScan(ctx context.Context, keys []cell.Key) (query.Result, error) {
 	start := time.Now()
 	ctx, ds := obs.StartSpan(ctx, "disk.scan")
-	ds.SetAttr("cells", fmt.Sprint(len(keys)))
+	ds.SetInt("cells", len(keys))
 	res, err := n.store.FetchCellsCtx(ctx, keys)
 	ds.End()
 	scanDur := time.Since(start)
@@ -880,7 +892,7 @@ func filterFrozen(t popTask, frozen map[geohash.Hash]bool, plen int) popTask {
 	out := popTask{res: query.NewResult(), epoch: t.epoch}
 	for k, s := range t.res.Cells {
 		if !touches(k.Geohash) {
-			out.res.Add(k, s)
+			out.res.Set(k, s, t.res.Hists[k])
 		}
 	}
 	for _, k := range t.requested {

@@ -225,7 +225,13 @@ func (e *Engine) scanBlock(b galileo.BlockID, q query.Query, res *query.Result) 
 		e.cfg.Sleeper.Apply(seek + e.cfg.Model.DiskCost(0, len(obs)))
 	}
 
-	acc := map[cell.Key]cell.Summary{}
+	// One accumulator per cell of this shard, the distributions (when kept)
+	// beside the stats.
+	type shardCell struct {
+		sum   cell.Summary
+		hists *cell.Hists
+	}
+	acc := map[cell.Key]*shardCell{}
 	for _, o := range obs {
 		k := cell.Key{
 			Geohash: geohash.EncodeHash(o.Lat, o.Lon, q.SpatialRes),
@@ -242,25 +248,24 @@ func (e *Engine) scanBlock(b galileo.BlockID, q query.Query, res *query.Result) 
 		if !ts.Before(q.Time.End) || !q.Time.Start.Before(te) {
 			continue
 		}
-		sum, ok := acc[k]
-		if !ok {
-			sum = cell.NewSummary()
+		c := acc[k]
+		if c == nil {
+			c = &shardCell{}
 			if e.cfg.Histograms {
-				sum.Hists = map[string]*cell.Histogram{}
+				c.hists = new(cell.Hists)
 			}
-			acc[k] = sum
+			acc[k] = c
 		}
-		for _, attr := range namgen.Attributes {
-			v, _ := o.Value(attr)
-			sum.Observe(attr, v)
-			if e.cfg.Histograms {
-				spec := namgen.HistogramSpecs[attr]
-				_ = sum.ObserveHist(attr, v, cell.HistogramSpec{Lo: spec.Lo, Hi: spec.Hi, Buckets: spec.Buckets})
+		for attr, v := range o.Values() {
+			c.sum.Observe(cell.Attr(attr), v)
+			if c.hists != nil {
+				// The specs are valid by construction (namgen's tests).
+				_ = c.hists.Observe(cell.Attr(attr), v, namgen.HistogramSpecs[attr])
 			}
 		}
 	}
-	for k, sum := range acc {
-		res.Add(k, sum)
+	for k, c := range acc {
+		res.AddCell(k, c.sum, c.hists)
 	}
 	return nil
 }
@@ -281,9 +286,7 @@ func (e *Engine) storeRequest(key string, res query.Result) {
 }
 
 func cloneResult(r query.Result) query.Result {
-	out := query.NewResult()
-	for k, s := range r.Cells {
-		out.Add(k, s)
-	}
+	out := query.NewResultCap(r.Len())
+	out.Merge(r)
 	return out
 }

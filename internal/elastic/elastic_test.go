@@ -86,10 +86,8 @@ func TestMatchesGalileo(t *testing.T) {
 		if !ok {
 			t.Fatalf("cell %v missing from ES result", k)
 		}
-		for _, attr := range namgen.Attributes {
-			if ws.Stats[attr] != gs.Stats[attr] {
-				t.Fatalf("cell %v attr %s: %+v != %+v", k, attr, ws.Stats[attr], gs.Stats[attr])
-			}
+		if ws != gs {
+			t.Fatalf("cell %v: %+v != %+v", k, ws, gs)
 		}
 	}
 }

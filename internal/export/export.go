@@ -57,9 +57,11 @@ func WriteGeoJSON(w io.Writer, r query.Result) error {
 			"geohash": k.Geohash.String(),
 			"time":    k.Time.String(),
 		}
-		s := r.Cells[k]
-		for _, attr := range s.Attrs() {
-			st := s.Stats[attr]
+		for a, st := range r.Cells[k].Stats {
+			if st.Count == 0 {
+				continue
+			}
+			attr := cell.Attr(a).String()
 			props[attr+"_count"] = st.Count
 			props[attr+"_min"] = st.Min
 			props[attr+"_max"] = st.Max
@@ -93,22 +95,24 @@ func WriteGeoJSON(w io.Writer, r query.Result) error {
 // cell center, then count/mean/min/max per attribute (union of attributes
 // across cells, sorted).
 func WriteCSV(w io.Writer, r query.Result) error {
-	attrSet := map[string]bool{}
+	var observed [cell.NumAttrs]bool
 	for _, s := range r.Cells {
-		for _, a := range s.Attrs() {
-			attrSet[a] = true
+		for a, st := range s.Stats {
+			observed[a] = observed[a] || st.Count > 0
 		}
 	}
-	attrs := make([]string, 0, len(attrSet))
-	for a := range attrSet {
-		attrs = append(attrs, a)
+	var attrs []cell.Attr // schema order is name order
+	for a, seen := range observed {
+		if seen {
+			attrs = append(attrs, cell.Attr(a))
+		}
 	}
-	sort.Strings(attrs)
 
 	cw := csv.NewWriter(w)
 	header := []string{"geohash", "time", "lat", "lon"}
 	for _, a := range attrs {
-		header = append(header, a+"_count", a+"_mean", a+"_min", a+"_max")
+		name := a.String()
+		header = append(header, name+"_count", name+"_mean", name+"_min", name+"_max")
 	}
 	if err := cw.Write(header); err != nil {
 		return err

@@ -14,14 +14,14 @@ import (
 
 func sampleResult() query.Result {
 	r := query.NewResult()
-	s1 := cell.NewSummary()
-	s1.Observe("temperature", 10)
-	s1.Observe("temperature", 20)
-	s1.Observe("humidity", 0.5)
+	s1 := cell.Summary{}
+	s1.Observe(cell.Temperature, 10)
+	s1.Observe(cell.Temperature, 20)
+	s1.Observe(cell.Humidity, 0.5)
 	r.Add(cell.MustKey("9q8y", "2015-02-02", temporal.Day), s1)
 
-	s2 := cell.NewSummary()
-	s2.Observe("temperature", -5)
+	s2 := cell.Summary{}
+	s2.Observe(cell.Temperature, -5)
 	r.Add(cell.MustKey("9q8z", "2015-02-02", temporal.Day), s2)
 	return r
 }

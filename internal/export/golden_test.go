@@ -15,27 +15,28 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // goldenResult is a hand-crafted fixture exercising every formatting branch:
-// multiple cells in non-sorted insertion order (exports must sort), a cell
-// missing an attribute other cells have (CSV zero-fills the union header),
-// negative and fractional values, and a zero-count stat (mean renders 0,
-// not NaN).
+// multiple cells in non-sorted insertion order (exports must sort), cells
+// missing an attribute another cell has (CSV zero-fills the union header, and
+// the mean of nothing renders 0, not NaN), negative and fractional values.
+// The fixture used to carry an explicit zero-count precipitation entry too;
+// in the fixed schema a zero count IS absence, so that entry cannot exist and
+// the golden files no longer print it.
 func goldenResult() query.Result {
 	r := query.NewResult()
 
-	s1 := cell.NewSummary()
-	s1.Stats["temperature"] = cell.Stat{Count: 3, Sum: 45, Min: 10, Max: 20.5}
-	s1.Stats["humidity"] = cell.Stat{Count: 2, Sum: 1.5, Min: 0.25, Max: 1.25}
+	s1 := cell.Summary{}
+	s1.Stats[cell.Temperature] = cell.Stat{Count: 3, Sum: 45, Min: 10, Max: 20.5}
+	s1.Stats[cell.Humidity] = cell.Stat{Count: 2, Sum: 1.5, Min: 0.25, Max: 1.25}
 	r.Add(cell.MustKey("9v6m", "2015-02-03", temporal.Day), s1)
 
-	s2 := cell.NewSummary()
-	s2.Stats["temperature"] = cell.Stat{Count: 1, Sum: -7.5, Min: -7.5, Max: -7.5}
+	s2 := cell.Summary{}
+	s2.Stats[cell.Temperature] = cell.Stat{Count: 1, Sum: -7.5, Min: -7.5, Max: -7.5}
 	r.Add(cell.MustKey("9v6k", "2015-02-02", temporal.Day), s2)
 
 	// Same geohash as s2, later label: exercises the (geohash, time)
 	// secondary sort key.
-	s3 := cell.NewSummary()
-	s3.Stats["temperature"] = cell.Stat{Count: 4, Sum: 100, Min: 20, Max: 30}
-	s3.Stats["precipitation"] = cell.Stat{Count: 0}
+	s3 := cell.Summary{}
+	s3.Stats[cell.Temperature] = cell.Stat{Count: 4, Sum: 100, Min: 20, Max: 30}
 	r.Add(cell.MustKey("9v6k", "2015-02-03", temporal.Day), s3)
 
 	return r

@@ -14,7 +14,6 @@ package frontend
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -149,7 +148,9 @@ func (c *Client) Query(q query.Query) (query.Result, error) {
 // "cache.probe" child ahead of the coordinator's fan-out spans.
 func (c *Client) QueryContext(ctx context.Context, q query.Query) (query.Result, error) {
 	ctx, qs := obs.StartSpan(ctx, "query")
-	qs.SetAttr("query", q.String())
+	if qs != nil { // String() allocates
+		qs.SetAttr("query", q.String())
+	}
 	qs.SetAttr("tier", "frontend")
 	defer qs.End()
 	if err := q.Validate(); err != nil {
@@ -209,9 +210,9 @@ func (c *Client) QueryContext(ctx context.Context, q query.Query) (query.Result,
 // fetchShared is the singleflight gate in front of fetch: identical queries
 // in flight at the same moment share one fetch. The leader registers a
 // flight keyed by the query's canonical string, runs the real fetch, and
-// publishes; followers wait and shallow-copy the published result (fresh
-// Cells map, shared immutable summaries) so later caller-side merges cannot
-// alias the leader's map. A leader error is never inherited: followers whose
+// publishes; followers wait and copy the published result (fresh maps; only
+// histogram sets, immutable by convention, stay shared) so later caller-side
+// merges cannot alias the leader's map. A leader error is never inherited: followers whose
 // leader failed — or whose own context expired first — run or fail on their
 // own terms, so one cancelled tab cannot poison the others.
 func (c *Client) fetchShared(ctx context.Context, qkey string, keys []cell.Key) (query.Result, error) {
@@ -237,9 +238,7 @@ func (c *Client) fetchShared(ctx context.Context, qkey string, keys []cell.Key) 
 		mDeduped.Inc()
 		obs.ProfileFromContext(ctx).AddSingleflight(0, 1)
 		out := query.NewResultCap(len(f.res.Cells))
-		for k, s := range f.res.Cells {
-			out.Add(k, s)
-		}
+		out.Merge(f.res)
 		out.Coverage = f.res.Coverage
 		return out, nil
 	}
@@ -261,7 +260,7 @@ func (c *Client) fetch(ctx context.Context, keys []cell.Key) (query.Result, erro
 	probeStart := time.Now()
 	_, ps := obs.StartSpan(ctx, "cache.probe")
 	found, missing := c.cache.GetBatch(keys)
-	ps.SetAttr("hits", fmt.Sprint(len(keys)-len(missing)))
+	ps.SetInt("hits", len(keys)-len(missing))
 	ps.End()
 	probeDur := time.Since(probeStart)
 	mStageCacheProbe.ObserveDuration(probeDur)

@@ -133,13 +133,6 @@ func (s *Store) PointsScanned() int64 { return s.pointsScanned.Load() }
 // Owns reports whether this shard owns the partition of the given geohash.
 func (s *Store) Owns(gh geohash.Hash) bool { return s.ring.Load().Owner(gh) == s.node }
 
-// blockPrefixes expands a cell geohash to the block prefixes storing its
-// data. Geohashes at or beyond the block prefix length map to a single
-// block prefix; coarser geohashes span every extending prefix.
-func (s *Store) blockPrefixes(gh geohash.Hash) []geohash.Hash {
-	return gh.Extensions(s.blockLen)
-}
-
 // ownerOf returns the node owning a block prefix: ownership follows the
 // ring's coarser partition prefix.
 func (s *Store) ownerOf(blockPrefix geohash.Hash) dht.NodeID {
@@ -163,7 +156,10 @@ func (s *Store) BlocksForKeys(keys []cell.Key) ([]BlockID, error) {
 		if n == 0 {
 			return nil, fmt.Errorf("%w: key %v", temporal.ErrBadLabel, k)
 		}
-		for _, prefix := range s.blockPrefixes(k.Geohash) {
+		// The block prefixes storing the cell's data: its own prefix when it
+		// is at or beyond the block length, else every extending prefix.
+		for p, np := 0, k.Geohash.ExtensionCount(s.blockLen); p < np; p++ {
+			prefix := k.Geohash.Extension(s.blockLen, p)
 			if s.ownerOf(prefix) != s.node {
 				continue
 			}
@@ -214,107 +210,106 @@ func (s *Store) FetchCellsCtx(ctx context.Context, keys []cell.Key) (query.Resul
 // fetchCells implements FetchCells and additionally reports the number of
 // blocks scanned, for per-query attribution.
 func (s *Store) fetchCells(keys []cell.Key) (query.Result, int, error) {
-	res := query.NewResult()
 	if len(keys) == 0 {
-		return res, 0, nil
+		return query.NewResult(), 0, nil
 	}
 	defer func(start time.Time) { mScanDur.ObserveDuration(time.Since(start)) }(time.Now())
 	sres, tres := keys[0].SpatialRes(), keys[0].TemporalRes()
-	want := make(map[cell.Key]bool, len(keys))
-	for _, k := range keys {
+	// want maps a requested key to its (first) position in the request; the
+	// accumulators index by that position, so a scanned point costs one probe.
+	var want cell.Index
+	want.Reset(len(keys))
+	for i, k := range keys {
 		if k.SpatialRes() != sres || k.TemporalRes() != tres {
-			return res, 0, fmt.Errorf("%w: %v vs (%d,%v)", ErrMixedResolution, k, sres, tres)
+			return query.Result{}, 0, fmt.Errorf("%w: %v vs (%d,%v)", ErrMixedResolution, k, sres, tres)
 		}
-		want[k] = true
+		want.GetOrInsert(k, int32(i))
 	}
 	blocks, err := s.BlocksForKeys(keys)
 	if err != nil {
-		return res, 0, err
+		return query.Result{}, 0, err
 	}
 
-	if s.histograms {
-		// Histogram maintenance stays on the scalar accumulator: columnar
-		// batches carry stats only, and ObserveHist mutates a shared map.
-		var acc map[cell.Key]cell.Summary
-		if s.parallel > 1 && len(blocks) > 1 {
-			acc, err = s.scanBlocksParallel(blocks, want, sres, tres)
-		} else {
-			acc, err = s.scanBlocks(blocks, want, sres, tres)
-		}
-		if err != nil {
-			return res, 0, err
-		}
-		for k, sum := range acc {
-			res.Add(k, sum)
-		}
-		return res, len(blocks), nil
-	}
-
-	// Default path: accumulate columnar (one row per cell, one lane per
-	// attribute; the scan inner loop indexes flat arrays instead of doing
-	// per-point map inserts) and materialize each row once, straight into
-	// the reply — no intermediate map-to-map transpose.
-	var acc *colAcc
+	// Accumulate columnar (one row per cell, one lane per attribute: the scan
+	// inner loop indexes flat arrays) and copy each row once, straight into
+	// the reply.
+	var acc *scanAcc
 	if s.parallel > 1 && len(blocks) > 1 {
-		acc, err = s.scanBlocksColumnarParallel(blocks, want, sres, tres)
+		acc, err = s.scanBlocksParallel(blocks, &want, len(keys), sres, tres)
 	} else {
-		acc, err = s.scanBlocksColumnar(blocks, want, sres, tres)
+		acc, err = s.scanBlocks(blocks, &want, len(keys), sres, tres)
 	}
 	if err != nil {
-		return res, 0, err
+		return query.Result{}, 0, err
 	}
-	for k, row := range acc.rows {
-		res.Cells[k] = acc.batch.RowSummary(int(row))
+	res := query.NewResultCap(len(acc.ids))
+	for row, id := range acc.ids {
+		var h *cell.Hists
+		if acc.hists != nil {
+			h = acc.hists[row]
+		}
+		res.Set(keys[id], acc.batch.RowSummary(row), h)
 	}
 	return res, len(blocks), nil
 }
 
-// colAcc is the columnar scan accumulator: cell key -> arena row, with every
-// namgen attribute's lane pre-created so the per-observation inner loop is
-// one map lookup plus array indexing.
-type colAcc struct {
-	rows  map[cell.Key]int32
+// scanAcc is a scan's accumulator: an arena row per requested key that has
+// met an observation, found through the key's position in the request.
+type scanAcc struct {
+	rowOf []int32 // by request position; -1 until the key's first observation
+	ids   []int32 // by row: the request position the row aggregates
 	batch cell.SummaryBatch
-	lanes []int // lane index per namgen.Attributes position
+	hists []*cell.Hists // by row; nil unless the store keeps histograms
 }
 
-func newColAcc() *colAcc {
-	a := &colAcc{rows: map[cell.Key]int32{}, lanes: make([]int, len(namgen.Attributes))}
-	for i, attr := range namgen.Attributes {
-		a.lanes[i] = a.batch.EnsureLane(attr)
+func (s *Store) newScanAcc(nKeys int) *scanAcc {
+	a := &scanAcc{rowOf: make([]int32, nKeys)}
+	for i := range a.rowOf {
+		a.rowOf[i] = -1
+	}
+	if s.histograms {
+		a.hists = []*cell.Hists{}
 	}
 	return a
 }
 
-// rowFor returns the accumulator row of k, appending one on first sight.
-func (a *colAcc) rowFor(k cell.Key) int32 {
-	row, ok := a.rows[k]
-	if !ok {
+// rowFor returns the accumulator row of the key at request position id,
+// appending one on first sight.
+func (a *scanAcc) rowFor(id int32) int {
+	row := a.rowOf[id]
+	if row < 0 {
 		row = int32(a.batch.AppendRow())
-		a.rows[k] = row
+		a.rowOf[id] = row
+		a.ids = append(a.ids, id)
+		if a.hists != nil {
+			a.hists = append(a.hists, new(cell.Hists))
+		}
 	}
-	return row
+	return int(row)
 }
 
 // mergeFrom folds another accumulator in as a columnar gather (the same
 // MergeRows core the coordinator's tournament uses).
-func (a *colAcc) mergeFrom(p *colAcc) {
-	if p.batch.Rows() == 0 {
+func (a *scanAcc) mergeFrom(p *scanAcc) {
+	if len(p.ids) == 0 {
 		return
 	}
-	dst := make([]int32, p.batch.Rows())
-	for k, row := range p.rows {
-		dst[row] = a.rowFor(k)
+	dst := make([]int32, len(p.ids))
+	for row, id := range p.ids {
+		dst[row] = int32(a.rowFor(id))
 	}
 	a.batch.MergeRows(dst, &p.batch)
+	for row, h := range p.hists {
+		merged := a.batch.RowSummary(int(dst[row]))
+		a.hists[dst[row]].Fold(h, &merged)
+	}
 }
 
-// scanBlocks reads each block once, serially, accumulating matching
-// observations into one summary per requested key.
-func (s *Store) scanBlocks(blocks []BlockID, want map[cell.Key]bool, sres int, tres temporal.Resolution) (map[cell.Key]cell.Summary, error) {
-	acc := map[cell.Key]cell.Summary{}
+// scanBlocks reads each block once, serially, into one accumulator.
+func (s *Store) scanBlocks(blocks []BlockID, want *cell.Index, nKeys, sres int, tres temporal.Resolution) (*scanAcc, error) {
+	acc := s.newScanAcc(nKeys)
 	for _, b := range blocks {
-		if err := s.scanBlockInto(b, want, sres, tres, acc); err != nil {
+		if err := s.scanBlock(b, want, sres, tres, acc); err != nil {
 			return nil, err
 		}
 	}
@@ -322,10 +317,10 @@ func (s *Store) scanBlocks(blocks []BlockID, want map[cell.Key]bool, sres int, t
 }
 
 // scanBlocksParallel fans the block list over a bounded worker pool. Each
-// worker owns a private accumulator (no locks on the scan inner loop); the
-// partials merge once at the end. The first error wins and remaining blocks
-// are skipped.
-func (s *Store) scanBlocksParallel(blocks []BlockID, want map[cell.Key]bool, sres int, tres temporal.Resolution) (map[cell.Key]cell.Summary, error) {
+// worker owns a private accumulator (no locks on the scan inner loop; want is
+// only read); the per-worker batches gather together once at the end. The
+// first error wins and remaining blocks are skipped.
+func (s *Store) scanBlocksParallel(blocks []BlockID, want *cell.Index, nKeys, sres int, tres temporal.Resolution) (*scanAcc, error) {
 	workers := s.parallel
 	if workers > len(blocks) {
 		workers = len(blocks)
@@ -337,89 +332,19 @@ func (s *Store) scanBlocksParallel(blocks []BlockID, want map[cell.Key]bool, sre
 		errMu   sync.Mutex
 		firstEr error
 	)
-	partials := make([]map[cell.Key]cell.Summary, workers)
+	partials := make([]*scanAcc, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			local := map[cell.Key]cell.Summary{}
+			local := s.newScanAcc(nKeys)
 			partials[w] = local
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(blocks) || failed.Load() {
 					return
 				}
-				if err := s.scanBlockInto(blocks[i], want, sres, tres, local); err != nil {
-					errMu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	// Merge per-worker partials; summaries merge associatively.
-	acc := partials[0]
-	for _, part := range partials[1:] {
-		for k, sum := range part {
-			if base, ok := acc[k]; ok {
-				base.Merge(sum)
-				acc[k] = base // Merge may assign fields on the copy
-			} else {
-				acc[k] = sum
-			}
-		}
-	}
-	return acc, nil
-}
-
-// scanBlocksColumnar reads each block once, serially, into one columnar
-// accumulator.
-func (s *Store) scanBlocksColumnar(blocks []BlockID, want map[cell.Key]bool, sres int, tres temporal.Resolution) (*colAcc, error) {
-	acc := newColAcc()
-	for _, b := range blocks {
-		if err := s.scanBlockColumnar(b, want, sres, tres, acc); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// scanBlocksColumnarParallel is scanBlocksColumnar over the bounded worker
-// pool: each worker owns a private accumulator (no locks on the scan inner
-// loop); the per-worker batches gather together once at the end.
-func (s *Store) scanBlocksColumnarParallel(blocks []BlockID, want map[cell.Key]bool, sres int, tres temporal.Resolution) (*colAcc, error) {
-	workers := s.parallel
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		firstEr error
-	)
-	partials := make([]*colAcc, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := newColAcc()
-			partials[w] = local
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(blocks) || failed.Load() {
-					return
-				}
-				if err := s.scanBlockColumnar(blocks[i], want, sres, tres, local); err != nil {
+				if err := s.scanBlock(blocks[i], want, sres, tres, local); err != nil {
 					errMu.Lock()
 					if firstEr == nil {
 						firstEr = err
@@ -442,63 +367,27 @@ func (s *Store) scanBlocksColumnarParallel(blocks []BlockID, want map[cell.Key]b
 	return acc, nil
 }
 
-// scanBlockColumnar reads one block and accumulates its matching observations
-// into the columnar accumulator: one row lookup per point, then per-attribute
-// array updates through the pre-created lanes.
-func (s *Store) scanBlockColumnar(b BlockID, want map[cell.Key]bool, sres int, tres temporal.Resolution, a *colAcc) error {
+// scanBlock reads one block and accumulates its matching observations: one
+// index probe per point, then per-attribute array updates.
+func (s *Store) scanBlock(b BlockID, want *cell.Index, sres int, tres temporal.Resolution, a *scanAcc) error {
 	obs, err := s.readBlock(b)
 	if err != nil {
 		return err
 	}
 	for _, o := range obs {
-		k := cell.Key{
+		id, ok := want.Get(cell.Key{
 			Geohash: geohash.EncodeHash(o.Lat, o.Lon, sres),
 			Time:    temporal.At(o.Time, tres),
-		}
-		if !want[k] {
-			continue
-		}
-		row := int(a.rowFor(k))
-		for i, attr := range namgen.Attributes {
-			v, _ := o.Value(attr)
-			a.batch.ObserveAt(a.lanes[i], row, v)
-		}
-	}
-	return nil
-}
-
-// scanBlockInto reads one block and accumulates its matching observations
-// into acc. Accumulate per cell: Observe mutates the summary's shared stats
-// map, so one summary per key is built up across all matching points.
-func (s *Store) scanBlockInto(b BlockID, want map[cell.Key]bool, sres int, tres temporal.Resolution, acc map[cell.Key]cell.Summary) error {
-	obs, err := s.readBlock(b)
-	if err != nil {
-		return err
-	}
-	for _, o := range obs {
-		k := cell.Key{
-			Geohash: geohash.EncodeHash(o.Lat, o.Lon, sres),
-			Time:    temporal.At(o.Time, tres),
-		}
-		if !want[k] {
-			continue
-		}
-		sum, ok := acc[k]
+		})
 		if !ok {
-			sum = cell.NewSummary()
-			if s.histograms {
-				// Pre-create the map so later copies of this struct
-				// value share it (ObserveHist mutates the shared map).
-				sum.Hists = map[string]*cell.Histogram{}
-			}
-			acc[k] = sum
+			continue
 		}
-		for _, attr := range namgen.Attributes {
-			v, _ := o.Value(attr)
-			sum.Observe(attr, v)
-			if s.histograms {
-				spec := namgen.HistogramSpecs[attr]
-				_ = sum.ObserveHist(attr, v, cell.HistogramSpec{Lo: spec.Lo, Hi: spec.Hi, Buckets: spec.Buckets})
+		row := a.rowFor(id)
+		for attr, v := range o.Values() {
+			a.batch.ObserveAt(cell.Attr(attr), row, v)
+			if a.hists != nil {
+				// The specs are valid by construction (namgen's tests).
+				_ = a.hists[row].Observe(cell.Attr(attr), v, namgen.HistogramSpecs[attr])
 			}
 		}
 	}
@@ -562,7 +451,7 @@ func (c *Cluster) FetchCells(keys []cell.Key) (query.Result, error) {
 	// Group keys by owning node so each shard scans only its share.
 	byNode := map[dht.NodeID][]cell.Key{}
 	for _, k := range keys {
-		for _, prefix := range c.stores[0].blockPrefixes(k.Geohash) {
+		for _, prefix := range k.Geohash.Extensions(c.stores[0].blockLen) {
 			owner := c.stores[0].ownerOf(prefix)
 			byNode[owner] = append(byNode[owner], k)
 		}

@@ -97,10 +97,10 @@ func TestClusterEqualsSingleNode(t *testing.T) {
 		if !ok {
 			t.Fatalf("cell %v missing from 7-node result", k)
 		}
-		for _, attr := range namgen.Attributes {
+		for attr := range s1.Stats {
 			a, b := s1.Stats[attr], s7.Stats[attr]
 			if a.Count != b.Count || a.Min != b.Min || a.Max != b.Max {
-				t.Fatalf("cell %v attr %s differs: %+v vs %+v", k, attr, a, b)
+				t.Fatalf("cell %v attr %v differs: %+v vs %+v", k, cell.Attr(attr), a, b)
 			}
 		}
 	}
@@ -366,16 +366,48 @@ func TestFetchCellsParallelMatchesSerial(t *testing.T) {
 		if !ok {
 			t.Fatalf("cell %v missing from parallel result", k)
 		}
-		for _, attr := range namgen.Attributes {
+		for attr := range ss.Stats {
 			a, b := ss.Stats[attr], sp.Stats[attr]
 			if a.Count != b.Count || a.Min != b.Min || a.Max != b.Max || a.Sum != b.Sum {
-				t.Fatalf("cell %v attr %s differs: %+v vs %+v", k, attr, a, b)
+				t.Fatalf("cell %v attr %v differs: %+v vs %+v", k, cell.Attr(attr), a, b)
 			}
 		}
 	}
 	if serial.BlocksRead() != par.BlocksRead() {
 		t.Errorf("block reads differ: serial=%d parallel=%d",
 			serial.BlocksRead(), par.BlocksRead())
+	}
+}
+
+// TestFetchCellsHistograms: with histograms on, every cell of the reply has
+// a distribution beside it for every observed attribute, accounting for
+// exactly the observations its stat counts — on the serial scan and when the
+// parallel scan's per-worker partials of one coarse cell fold together.
+func TestFetchCellsHistograms(t *testing.T) {
+	day := temporal.MustParse("2015-02-02", temporal.Day)
+	keys := []cell.Key{ // coarser than a block: each spans 32 of them
+		{Geohash: geohash.MustPack("9q"), Time: day}, {Geohash: geohash.MustPack("9r"), Time: day},
+	}
+	for _, parallel := range []int{1, 4} {
+		ring, _ := dht.NewRing(1, 2)
+		st := NewStore(ring, 0, &namgen.Generator{Seed: 42, PointsPerBlock: 16}, simnet.Default(), simnet.NewMeter())
+		st.SetHistograms(true)
+		st.SetParallelReads(parallel)
+		res, err := st.FetchCells(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != len(keys) || len(res.Hists) != len(keys) {
+			t.Fatalf("parallel=%d: %d cells, %d with distributions, want %d", parallel, res.Len(), len(res.Hists), len(keys))
+		}
+		for k, s := range res.Cells {
+			for _, name := range namgen.Attributes {
+				h := res.Hists[k].Hist(name)
+				if h == nil || h.Total() != s.Count(name) || h.Total() == 0 {
+					t.Fatalf("parallel=%d: %v %s: histogram %+v for count %d", parallel, k, name, h, s.Count(name))
+				}
+			}
+		}
 	}
 }
 

@@ -250,6 +250,22 @@ func TestExtensionsMatchTextConcatenation(t *testing.T) {
 	if got := MustPack("9q8y").Extensions(2); len(got) != 1 || got[0] != MustPack("9q") {
 		t.Errorf("Extensions of a longer geohash = %v", got)
 	}
+	// Extensions is built on the arithmetic pair, so the above holds them to
+	// the text too; what is left is that walking them allocates nothing — the
+	// one-element case is every cell key at or past a block's length.
+	for _, h := range []Hash{MustPack("9q8y"), MustPack("9")} {
+		var last Hash
+		if allocs := testing.AllocsPerRun(20, func() {
+			for i, n := 0, h.ExtensionCount(3); i < n; i++ {
+				last = h.Extension(3, i)
+			}
+		}); allocs != 0 {
+			t.Errorf("walking %v's extensions allocates %.0f objects", h, allocs)
+		}
+		if want := h.Extensions(3); last != want[len(want)-1] {
+			t.Errorf("last extension of %v = %v, want %v", h, last, want[len(want)-1])
+		}
+	}
 }
 
 func TestNeighborsMatchesNeighbor(t *testing.T) {

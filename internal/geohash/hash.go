@@ -147,16 +147,29 @@ func (h Hash) Child(i int) Hash {
 // order: 32^(n-Len) of them, or just h cut to n characters when it is already
 // that long. The zero Hash extends to every geohash of length n.
 func (h Hash) Extensions(n int) []Hash {
-	if h.Len() >= n {
-		return []Hash{h.Prefix(n)}
-	}
-	digits := uint64(h) &^ lenMask
-	shift := uint(64 - digitBits*n)
-	out := make([]Hash, 1<<uint(digitBits*(n-h.Len())))
+	out := make([]Hash, h.ExtensionCount(n))
 	for i := range out {
-		out[i] = Hash(digits | uint64(i)<<shift | uint64(n))
+		out[i] = h.Extension(n, i)
 	}
 	return out
+}
+
+// ExtensionCount returns len(h.Extensions(n)) without building the list.
+func (h Hash) ExtensionCount(n int) int {
+	if h.Len() >= n {
+		return 1
+	}
+	return 1 << uint(digitBits*(n-h.Len()))
+}
+
+// Extension returns h.Extensions(n)[i] by arithmetic, so a caller walking the
+// extensions — one of them, for a hash already n characters long — allocates
+// nothing.
+func (h Hash) Extension(n, i int) Hash {
+	if h.Len() >= n {
+		return h.Prefix(n)
+	}
+	return Hash(uint64(h)&^lenMask | uint64(i)<<uint(64-digitBits*n) | uint64(n))
 }
 
 // compact gathers the even-position bits of a 60-bit interleaved value into

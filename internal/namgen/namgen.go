@@ -17,25 +17,25 @@ import (
 	"sync"
 	"time"
 
+	"stash/internal/cell"
 	"stash/internal/geohash"
 	"stash/internal/temporal"
 )
 
 // Attributes are the observed fields carried by every synthetic observation,
 // mirroring the NAM features named in the paper (surface temperature,
-// relative humidity, snow and precipitation).
+// relative humidity, snow and precipitation), in the column order stashgen
+// prints. They are exactly the cell schema (cell.Attr); Values returns an
+// observation in that schema's index order.
 var Attributes = []string{"temperature", "humidity", "precipitation", "snow"}
 
 // HistogramSpecs gives each attribute a natural distribution range for
 // pipelines that maintain histograms alongside the scalar aggregates.
-var HistogramSpecs = map[string]struct {
-	Lo, Hi  float64
-	Buckets int
-}{
-	"temperature":   {-50, 50, 20},
-	"humidity":      {0, 1, 20},
-	"precipitation": {0, 20, 20},
-	"snow":          {0, 10, 20},
+var HistogramSpecs = [cell.NumAttrs]cell.HistogramSpec{
+	cell.Temperature:   {Lo: -50, Hi: 50, Buckets: 20},
+	cell.Humidity:      {Lo: 0, Hi: 1, Buckets: 20},
+	cell.Precipitation: {Lo: 0, Hi: 20, Buckets: 20},
+	cell.Snow:          {Lo: 0, Hi: 10, Buckets: 20},
 }
 
 // Observation is a single synthetic sensor reading.
@@ -62,6 +62,17 @@ func (o Observation) Value(attr string) (float64, bool) {
 		return o.Snow, true
 	}
 	return 0, false
+}
+
+// Values returns the observation's attributes indexed by cell.Attr — the
+// form the aggregation loops consume, with no name lookup per point.
+func (o Observation) Values() [cell.NumAttrs]float64 {
+	return [cell.NumAttrs]float64{
+		cell.Temperature:   o.Temperature,
+		cell.Humidity:      o.Humidity,
+		cell.Precipitation: o.Precipitation,
+		cell.Snow:          o.Snow,
+	}
 }
 
 // Generator produces deterministic observation blocks. It also models a

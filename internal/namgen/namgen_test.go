@@ -3,6 +3,7 @@ package namgen
 import (
 	"testing"
 
+	"stash/internal/cell"
 	"stash/internal/geohash"
 	"stash/internal/temporal"
 )
@@ -179,6 +180,28 @@ func TestObservationValue(t *testing.T) {
 	}
 	if _, ok := o.Value("nonsense"); ok {
 		t.Error("unknown attribute accepted")
+	}
+}
+
+// TestValuesFollowTheCellSchema: the attribute names are exactly the cell
+// schema, and Values files each field under its schema index.
+func TestValuesFollowTheCellSchema(t *testing.T) {
+	if len(Attributes) != cell.NumAttrs {
+		t.Fatalf("%d attribute names for a schema of %d", len(Attributes), cell.NumAttrs)
+	}
+	o := Observation{Temperature: 5, Humidity: 0.5, Precipitation: 1, Snow: 2}
+	vals := o.Values()
+	for _, name := range Attributes {
+		a, ok := cell.AttrByName(name)
+		if !ok {
+			t.Fatalf("attribute %q is not in the cell schema", name)
+		}
+		if want, _ := o.Value(name); vals[a] != want {
+			t.Errorf("Values()[%v] = %v, want %v", a, vals[a], want)
+		}
+		if spec := HistogramSpecs[a]; !(spec.Lo < spec.Hi) || spec.Buckets < 1 {
+			t.Errorf("no usable histogram spec for %q: %+v", name, spec)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -88,6 +89,14 @@ func (s *Span) SetAttr(k, v string) {
 	}
 	s.attrs[k] = v
 	s.mu.Unlock()
+}
+
+// SetInt attaches an integer annotation. The number is formatted only on a
+// live span, so an untraced request pays nothing for it.
+func (s *Span) SetInt(k string, v int) {
+	if s != nil {
+		s.SetAttr(k, strconv.Itoa(v))
+	}
 }
 
 // End closes the span (idempotent) and returns its duration.

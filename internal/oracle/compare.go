@@ -71,7 +71,7 @@ func Compare(got, want query.Result) []Diff {
 		gs, ok := got.Cells[k]
 		if !ok {
 			diffs = append(diffs, Diff{Key: k, Field: "cell",
-				Msg: fmt.Sprintf("missing cell (oracle has %d attrs)", len(ws.Stats))})
+				Msg: fmt.Sprintf("missing cell (oracle has %d attrs)", len(ws.Attrs()))})
 			continue
 		}
 		diffs = append(diffs, compareCell(k, gs, ws)...)
@@ -101,10 +101,12 @@ func CompareSubset(got, want query.Result) []Diff {
 				Msg: "unexpected cell in partial result (oracle says empty)"})
 			continue
 		}
-		for _, attr := range gs.Attrs() {
-			gst := gs.Stats[attr]
-			wst, ok := ws.Stats[attr]
-			if !ok {
+		for a, gst := range gs.Stats {
+			if gst.Count == 0 {
+				continue
+			}
+			attr, wst := cell.Attr(a).String(), ws.Stats[a]
+			if wst.Count == 0 {
 				diffs = append(diffs, Diff{Key: k, Attr: attr, Field: "attrs",
 					Msg: fmt.Sprintf("attribute %q not in oracle cell", attr)})
 				continue
@@ -128,20 +130,17 @@ func CompareSubset(got, want query.Result) []Diff {
 // compareCell checks one cell's full equality: same attributes, equal stats.
 func compareCell(k cell.Key, got, want cell.Summary) []Diff {
 	var diffs []Diff
-	for _, attr := range want.Attrs() {
-		wst := want.Stats[attr]
-		gst, ok := got.Stats[attr]
-		if !ok {
+	for a, wst := range want.Stats {
+		attr, gst := cell.Attr(a).String(), got.Stats[a]
+		switch {
+		case wst.Count > 0 && gst.Count == 0:
 			diffs = append(diffs, Diff{Key: k, Attr: attr, Field: "attrs",
 				Msg: fmt.Sprintf("missing attribute %q", attr)})
-			continue
-		}
-		diffs = append(diffs, compareStat(k, attr, gst, wst)...)
-	}
-	for _, attr := range got.Attrs() {
-		if _, ok := want.Stats[attr]; !ok {
+		case wst.Count == 0 && gst.Count > 0:
 			diffs = append(diffs, Diff{Key: k, Attr: attr, Field: "attrs",
 				Msg: fmt.Sprintf("unexpected attribute %q", attr)})
+		case wst.Count > 0:
+			diffs = append(diffs, compareStat(k, attr, gst, wst)...)
 		}
 	}
 	return diffs

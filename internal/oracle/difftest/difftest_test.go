@@ -86,7 +86,7 @@ var mutations = []struct {
 		// Columnar-era bug class: one attribute lane lost in SummaryBatch
 		// materialization — the whole temperature column vanishes from a
 		// cell while the other attrs stay intact.
-		dropLane(r, "temperature")
+		dropLane(r, cell.Temperature)
 	}},
 	{"spurious-cell", func(q query.Query, r *query.Result) {
 		if len(r.Cells) == 0 {
@@ -98,35 +98,33 @@ var mutations = []struct {
 			break
 		}
 		ghost.Geohash |= 1 << 4 // a digit bit past the length: no real cell has this key
-		s := cell.NewSummary()
-		s.Observe("temperature", 1)
+		s := cell.Summary{}
+		s.Observe(cell.Temperature, 1)
 		r.Cells[ghost] = s
 	}},
 }
 
 // corruptOne applies f to the temperature stat of the lexically-smallest
-// cell (deterministic victim), cloning first per the immutability contract.
+// cell (deterministic victim). The result owns its summaries, so the
+// corruption reaches nothing else.
 func corruptOne(r *query.Result, f func(*cell.Stat)) {
 	victim, found := smallestKey(r)
 	if !found {
 		return
 	}
-	cp := r.Cells[victim].Clone()
-	st := cp.Stats["temperature"]
-	f(&st)
-	cp.Stats["temperature"] = st
+	cp := r.Cells[victim]
+	f(&cp.Stats[cell.Temperature])
 	r.Cells[victim] = cp
 }
 
-// dropLane deletes one attribute from the deterministic victim cell, cloning
-// first per the immutability contract.
-func dropLane(r *query.Result, attr string) {
+// dropLane empties one attribute of the deterministic victim cell.
+func dropLane(r *query.Result, attr cell.Attr) {
 	victim, found := smallestKey(r)
 	if !found {
 		return
 	}
-	cp := r.Cells[victim].Clone()
-	delete(cp.Stats, attr)
+	cp := r.Cells[victim]
+	cp.Stats[attr] = cell.Stat{}
 	r.Cells[victim] = cp
 }
 
@@ -228,8 +226,8 @@ func TestGenSessionDeterministic(t *testing.T) {
 func TestSummaryMergeAlgebra(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	randSummary := func() cell.Summary {
-		s := cell.NewSummary()
-		for _, attr := range []string{"temperature", "humidity"} {
+		s := cell.Summary{}
+		for _, attr := range []cell.Attr{cell.Temperature, cell.Humidity} {
 			for n := rng.Intn(6); n >= 0; n-- {
 				s.Observe(attr, rng.NormFloat64()*40)
 			}
@@ -237,17 +235,12 @@ func TestSummaryMergeAlgebra(t *testing.T) {
 		return s
 	}
 	merge := func(a, b cell.Summary) cell.Summary {
-		m := a.Clone()
-		m.Merge(b)
-		return m
+		a.Merge(b) // a is this call's copy
+		return a
 	}
 	equal := func(a, b cell.Summary) bool {
-		if len(a.Stats) != len(b.Stats) {
-			return false
-		}
 		for attr, as := range a.Stats {
-			bs, ok := b.Stats[attr]
-			if !ok || !as.ApproxEqual(bs, 1e-12) {
+			if !as.ApproxEqual(b.Stats[attr], 1e-12) {
 				return false
 			}
 		}
@@ -261,7 +254,7 @@ func TestSummaryMergeAlgebra(t *testing.T) {
 		if !equal(merge(merge(a, b), c), merge(a, merge(b, c))) {
 			t.Fatalf("merge not associative (trial %d)", trial)
 		}
-		if !equal(merge(a, cell.NewSummary()), a) {
+		if !equal(merge(a, cell.Summary{}), a) {
 			t.Fatalf("empty summary not a merge identity (trial %d)", trial)
 		}
 	}
@@ -273,9 +266,9 @@ func TestSummaryMergeAlgebra(t *testing.T) {
 func TestCheckUsesClaimedSemantics(t *testing.T) {
 	want := query.NewResult()
 	k := cell.Key{Geohash: geohash.MustPack("9v6k")}
-	s := cell.NewSummary()
-	s.Observe("temperature", 5)
-	s.Observe("temperature", 7)
+	s := cell.Summary{}
+	s.Observe(cell.Temperature, 5)
+	s.Observe(cell.Temperature, 7)
 	want.Cells[k] = s
 
 	got := query.NewResult() // empty, claims complete (zero coverage)

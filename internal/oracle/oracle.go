@@ -160,13 +160,11 @@ func (o *Oracle) scanLevel(keys []cell.Key, sres int, tres temporal.Resolution, 
 			}
 			sum := acc[k]
 			if sum == nil {
-				s := cell.NewSummary()
-				sum = &s
+				sum = new(cell.Summary)
 				acc[k] = sum
 			}
-			for _, attr := range namgen.Attributes {
-				v, _ := ob.Value(attr)
-				sum.Observe(attr, v)
+			for attr, v := range ob.Values() {
+				sum.Observe(cell.Attr(attr), v)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ func TestOracleDeterministic(t *testing.T) {
 		for k, s := range r.Cells {
 			for attr, st := range s.Stats {
 				if st.Sum != r1.Cells[k].Stats[attr].Sum {
-					t.Fatalf("oracle sums not bit-identical at %v %s", k, attr)
+					t.Fatalf("oracle sums not bit-identical at %v %v", k, cell.Attr(attr))
 				}
 			}
 		}
@@ -161,9 +161,9 @@ func mutate(r query.Result, kind string) query.Result {
 		}
 	}
 	for k, s := range r.Cells {
-		cp := s.Clone()
+		cp := s
 		if k == victim {
-			st := cp.Stats["temperature"]
+			st := &cp.Stats[cell.Temperature]
 			switch kind {
 			case "count-bump": // double-counted merge
 				st.Count++
@@ -172,10 +172,7 @@ func mutate(r query.Result, kind string) query.Result {
 			case "min-lower": // impossible extremum
 				st.Min -= 100
 			case "drop-attr": // attribute lost in a wire round trip
-				delete(cp.Stats, "temperature")
-			}
-			if kind != "drop-attr" {
-				cp.Stats["temperature"] = st
+				*st = cell.Stat{}
 			}
 		}
 		out.Cells[k] = cp
@@ -186,8 +183,8 @@ func mutate(r query.Result, kind string) query.Result {
 	case "spurious-cell": // cell binned to the wrong key
 		ghost := victim
 		ghost.Geohash |= 1 << 4 // a digit bit past the length: no real cell has this key
-		s := cell.NewSummary()
-		s.Observe("temperature", 1)
+		s := cell.Summary{}
+		s.Observe(cell.Temperature, 1)
 		out.Cells[ghost] = s
 	}
 	return out
@@ -224,10 +221,9 @@ func TestCompareSubsetSemantics(t *testing.T) {
 	key := func(gh string) cell.Key {
 		return cell.Key{Geohash: geohash.MustPack(gh), Time: temporal.MustParse("2015-02-02", temporal.Day)}
 	}
-	stat := func(count int64, sum, min, max float64) cell.Summary {
-		return cell.Summary{Stats: map[string]cell.Stat{
-			"temperature": {Count: count, Sum: sum, Min: min, Max: max},
-		}}
+	stat := func(count int64, sum, min, max float64) (s cell.Summary) {
+		s.Stats[cell.Temperature] = cell.Stat{Count: count, Sum: sum, Min: min, Max: max}
+		return s
 	}
 	oracle := query.NewResult()
 	oracle.Cells[key("9v6k")] = stat(10, 50, 1, 9)
@@ -312,8 +308,8 @@ func TestFetchCellsMixedLevels(t *testing.T) {
 		t.Errorf("mixed-level fetch diverges:\n%s", FormatDiffs(diffs, 10))
 	}
 	// The coarse month cell must contain the fine day cell (footprint algebra).
-	cs := r.Cells[keys[0]].Stats["temperature"]
-	fs := r.Cells[keys[1]].Stats["temperature"]
+	cs := r.Cells[keys[0]].Stats[cell.Temperature]
+	fs := r.Cells[keys[1]].Stats[cell.Temperature]
 	if fs.Count > cs.Count || fs.Min < cs.Min || fs.Max > cs.Max {
 		t.Errorf("containment violated: fine %+v vs coarse %+v", fs, cs)
 	}

@@ -4,19 +4,20 @@ package query
 // path (tournament fan-in, scatter accumulation, coalescer demux) runs
 // entirely on structures from these pools, so the steady state of a warm
 // cluster merges node replies without allocating: summaries land in a
-// columnar cell arena (cell.SummaryBatch) addressed by an open-addressing key
-// index, partials merge as columnar gathers, and only the final
-// materialization (ToResult) builds the scalar map the public API returns.
+// columnar cell arena (cell.SummaryBatch) addressed by a key index
+// (cell.Index), partials merge as columnar gathers, and only the final
+// materialization (ToResult) builds the map the public API returns — one map,
+// its summaries stored in place.
 //
 // Pool-safety rules (mirroring internal/wire's GetBuf/PutBuf):
 //
 //  1. Release/PutResult return storage to a pool: the caller must not touch
 //     the value afterwards, and nothing returned to a caller may alias pooled
-//     storage. ToResult guarantees this by materializing into fresh maps.
+//     storage. ToResult guarantees this by materializing into a fresh map.
 //  2. Oversized carcasses are dropped, not pooled (maxPooledResultCells), so
 //     one giant query cannot pin its arena behind every later small one.
-//  3. Summaries READ from inputs are shared, never mutated (the Result
-//     immutability convention); only the pooled arena itself is recycled.
+//  3. Summaries are copied in and out by value; histogram sets read from
+//     inputs are shared, never mutated (see Result).
 
 import (
 	"sync"
@@ -44,18 +45,17 @@ func poolCounter(outcome string) *obs.Counter {
 }
 
 // ColumnarResult is a mergeable aggregation intermediate: cell keys in a flat
-// slice, their aggregates in a columnar arena, and an open-addressing hash
-// index mapping key -> row. It is the representation the coordinator merges
-// in; Results (the public map form) convert in at the leaves and out once at
-// the end.
+// slice, their aggregates in a columnar arena, and a cell.Index mapping key ->
+// row. It is the representation the coordinator merges in; Results (the
+// public map form) convert in at the leaves and out once at the end.
 //
-// Summaries carrying histograms cannot live in the arena (batches are
-// stats-only); they take the scalar spill path and fold in at ToResult.
+// Distributions, when the pipeline keeps them, ride in a side table by key,
+// exactly as on Result; the arena itself is stats only.
 type ColumnarResult struct {
 	keys    []cell.Key
 	batch   cell.SummaryBatch
-	index   []int32 // open addressing, power-of-two size, -1 = empty
-	spill   map[cell.Key]cell.Summary
+	index   cell.Index
+	hists   map[cell.Key]*cell.Hists
 	scratch []int32 // row-mapping buffer reused across MergeColumnar calls
 }
 
@@ -86,108 +86,55 @@ func (c *ColumnarResult) Release() {
 
 // Reset empties the result for reuse, keeping capacity.
 func (c *ColumnarResult) Reset() {
+	c.index.Reset(len(c.keys))
 	c.keys = c.keys[:0]
 	c.batch.Reset()
-	for i := range c.index {
-		c.index[i] = -1
-	}
-	clear(c.spill)
+	clear(c.hists)
 }
 
 // Len returns the number of distinct cells accumulated.
-func (c *ColumnarResult) Len() int { return len(c.keys) + len(c.spill) }
-
-// row returns the arena row of k, or -1 when absent.
-func (c *ColumnarResult) row(k cell.Key) int32 {
-	if len(c.index) == 0 {
-		return -1
-	}
-	mask := uint64(len(c.index) - 1)
-	for slot := k.Hash() & mask; ; slot = (slot + 1) & mask {
-		r := c.index[slot]
-		if r == -1 {
-			return -1
-		}
-		if c.keys[r] == k {
-			return r
-		}
-	}
-}
+func (c *ColumnarResult) Len() int { return len(c.keys) }
 
 // rowOrNew returns the arena row of k, appending a fresh (empty) row when the
 // key is new.
 func (c *ColumnarResult) rowOrNew(k cell.Key) int32 {
-	// Grow at 3/4 load so probe chains stay short.
-	if 4*(len(c.keys)+1) > 3*len(c.index) {
-		c.grow()
+	r, isNew := c.index.GetOrInsert(k, int32(len(c.keys)))
+	if isNew {
+		c.keys = append(c.keys, k)
+		c.batch.AppendRow()
 	}
-	mask := uint64(len(c.index) - 1)
-	for slot := k.Hash() & mask; ; slot = (slot + 1) & mask {
-		r := c.index[slot]
-		if r == -1 {
-			r = int32(len(c.keys))
-			c.keys = append(c.keys, k)
-			c.batch.AppendRow()
-			c.index[slot] = r
-			return r
-		}
-		if c.keys[r] == k {
-			return r
-		}
+	return r
+}
+
+// AddCell folds one cell in: its summary, and the distributions kept beside
+// it (nil for none). Both are only read.
+func (c *ColumnarResult) AddCell(k cell.Key, s *cell.Summary, h *cell.Hists) {
+	before := len(c.keys)
+	row := c.rowOrNew(k)
+	c.batch.MergeSummaryAt(int(row), s)
+	if h != nil || len(c.hists) > 0 {
+		c.foldHists(k, row, int(row) >= before, h)
 	}
 }
 
-// grow rebuilds the index at double size (minimum 16 slots) and reinserts
-// every existing key.
-func (c *ColumnarResult) grow() {
-	n := 2 * len(c.index)
-	if n < 16 {
-		n = 16
-	}
-	if cap(c.index) >= n {
-		c.index = c.index[:n]
-	} else {
-		c.index = make([]int32, n)
-	}
-	for i := range c.index {
-		c.index[i] = -1
-	}
-	mask := uint64(n - 1)
-	for r, k := range c.keys {
-		slot := k.Hash() & mask
-		for c.index[slot] != -1 {
-			slot = (slot + 1) & mask
-		}
-		c.index[slot] = int32(r)
+// foldHists brings the side table up to date after row took another partial
+// of k whose distributions are h: a first partial's set is aliased, a later
+// one folds into a private clone.
+func (c *ColumnarResult) foldHists(k cell.Key, row int32, first bool, h *cell.Hists) {
+	switch cur := c.hists[k]; {
+	case first:
+		putHists(&c.hists, k, h)
+	case cur != nil || h != nil:
+		merged := c.batch.RowSummary(int(row))
+		putHists(&c.hists, k, foldedHists(cur, h, &merged))
 	}
 }
 
-// AddSummary folds one (key, summary) pair in. The summary is only read;
-// histogram-bearing summaries take the scalar spill path (clone-on-merge, the
-// same convention as Result.Add).
-func (c *ColumnarResult) AddSummary(k cell.Key, s cell.Summary) {
-	if len(s.Hists) > 0 {
-		if c.spill == nil {
-			c.spill = make(map[cell.Key]cell.Summary, 4)
-		}
-		cur, ok := c.spill[k]
-		if !ok {
-			c.spill[k] = s
-			return
-		}
-		merged := cur.Clone()
-		merged.Merge(s)
-		c.spill[k] = merged
-		return
-	}
-	c.batch.MergeSummaryAt(int(c.rowOrNew(k)), s)
-}
-
-// MergeResult folds a scalar Result's cells in. The result's summaries are
-// only read and may be shared; the caller keeps ownership of the map.
+// MergeResult folds a Result's cells in. The caller keeps ownership of the
+// map.
 func (c *ColumnarResult) MergeResult(o Result) {
 	for k, s := range o.Cells {
-		c.AddSummary(k, s)
+		c.AddCell(k, &s, o.Hists[k])
 	}
 }
 
@@ -202,49 +149,56 @@ func (c *ColumnarResult) MergeColumnar(o *ColumnarResult) {
 		c.scratch = make([]int32, len(o.keys))
 	}
 	dst := c.scratch[:len(o.keys)]
+	before := len(c.keys)
 	for i, k := range o.keys {
 		dst[i] = c.rowOrNew(k)
 	}
 	c.batch.MergeRows(dst, &o.batch)
-	for k, s := range o.spill {
-		c.AddSummary(k, s)
+	if len(c.hists) > 0 || len(o.hists) > 0 {
+		for i, k := range o.keys {
+			c.foldHists(k, dst[i], int(dst[i]) >= before, o.hists[k])
+		}
 	}
 }
 
-// ToResult materializes the accumulated cells as a scalar Result. Every map
-// and stats map is freshly allocated: nothing in the returned result aliases
-// the arena, so Release-ing c afterwards can never reach it.
+// ToResult materializes the accumulated cells as a Result in freshly
+// allocated maps: nothing in the returned result aliases the arena, so
+// Release-ing c afterwards can never reach it.
 func (c *ColumnarResult) ToResult() Result {
-	r := NewResultCap(c.Len())
+	r := NewResultCap(len(c.keys))
 	for i, k := range c.keys {
 		r.Cells[k] = c.batch.RowSummary(i)
 	}
-	for k, s := range c.spill {
-		// Add, not assign: a key can be split between the arena (plain
-		// partials) and the spill (histogram-bearing partials).
-		r.Add(k, s)
+	if len(c.hists) > 0 {
+		r.Hists = make(map[cell.Key]*cell.Hists, len(c.hists))
+		for k, h := range c.hists {
+			r.Hists[k] = h
+		}
 	}
 	return r
 }
 
 // --- pooled scalar Results ---
 
-// resultMapPool recycles the Cells maps of short-lived intermediate Results
-// (coalescer demux slices, scatter staging). Only the map is pooled; the
-// summary values inside are shared and immutable, so dropping the references
-// is all that clearing does.
+// resultMapPool recycles the Cells maps of short-lived intermediate Results:
+// node replies (the graph's GetBatch draws its reply here and the
+// coordinator's fan-in returns it after the columnar merge), coalescer demux
+// slices, scatter staging. A summary is stored in its map slot, so a recycled
+// map is a recycled reply: the answer map ToResult builds is the only map a
+// warm query allocates.
 var resultMapPool sync.Pool
 
-// GetResult returns an empty Result backed by a pooled cells map. Callers
-// hand it to a consumer that either keeps it (never pool a retained result)
-// or recycles it with PutResult.
-func GetResult() Result {
+// GetResult returns an empty Result backed by a pooled cells map, or by a
+// fresh one sized for n cells when the pool is empty. Callers hand it to a
+// consumer that either keeps it (never pool a retained result) or recycles it
+// with PutResult.
+func GetResult(n int) Result {
 	if v := resultMapPool.Get(); v != nil {
 		mResultPoolHit.Inc()
 		return Result{Cells: v.(map[cell.Key]cell.Summary)}
 	}
 	mResultPoolMiss.Inc()
-	return NewResult()
+	return NewResultCap(n)
 }
 
 // PutResult clears r's cells map and returns it to the pool. The caller must
@@ -260,8 +214,9 @@ func PutResult(r Result) {
 }
 
 // Reset empties the result in place for reuse: cells cleared (map retained),
-// coverage zeroed.
+// distributions and coverage dropped.
 func (r *Result) Reset() {
 	clear(r.Cells)
+	r.Hists = nil
 	r.Coverage = Coverage{}
 }

@@ -15,13 +15,32 @@ func colKey(i int) cell.Key {
 }
 
 func colSummary(rng *rand.Rand) cell.Summary {
-	s := cell.NewSummary()
-	for _, attr := range []string{"temperature", "humidity"} {
+	s := cell.Summary{}
+	for _, attr := range []cell.Attr{cell.Temperature, cell.Humidity} {
 		for n := rng.Intn(4); n >= 0; n-- {
 			s.Observe(attr, rng.NormFloat64()*10)
 		}
 	}
 	return s
+}
+
+// sameCells fails unless got holds exactly want's cells, stats within eps.
+func sameCells(t *testing.T, got, want Result, eps float64) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
+	}
+	for k, ws := range want.Cells {
+		gs, ok := got.Cells[k]
+		if !ok {
+			t.Fatalf("missing key %v", k)
+		}
+		for a, w := range ws.Stats {
+			if g := gs.Stats[a]; !g.ApproxEqual(w, eps) {
+				t.Fatalf("key %v attr %v: got %+v want %+v", k, cell.Attr(a), g, w)
+			}
+		}
+	}
 }
 
 // TestColumnarMatchesScalarMerge: folding scalar results through the columnar
@@ -47,21 +66,7 @@ func TestColumnarMatchesScalarMerge(t *testing.T) {
 	}
 	got := c.ToResult()
 	c.Release()
-
-	if got.Len() != want.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
-	}
-	for k, ws := range want.Cells {
-		gs, ok := got.Cells[k]
-		if !ok {
-			t.Fatalf("missing key %v", k)
-		}
-		for attr, w := range ws.Stats {
-			if g := gs.Stats[attr]; !g.ApproxEqual(w, 1e-9) {
-				t.Fatalf("key %v attr %q: got %+v want %+v", k, attr, g, w)
-			}
-		}
-	}
+	sameCells(t, got, want, 1e-9)
 }
 
 // TestColumnarMergeColumnar: gather-merging two columnar results must agree
@@ -85,77 +90,73 @@ func TestColumnarMergeColumnar(t *testing.T) {
 	want := NewResult()
 	want.Merge(a)
 	want.Merge(b)
-	if got.Len() != want.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
-	}
-	for k, ws := range want.Cells {
-		for attr, w := range ws.Stats {
-			if g := got.Cells[k].Stats[attr]; !g.ApproxEqual(w, 1e-9) {
-				t.Fatalf("key %v attr %q: got %+v want %+v", k, attr, g, w)
-			}
-		}
-	}
+	sameCells(t, got, want, 1e-9)
 }
 
-// TestColumnarHistogramSpill: histogram-bearing summaries take the scalar
-// spill path, and the outcome — including the hist-completeness rule scalar
-// Merge applies — must match folding the same sequence through Result.Add.
+// TestColumnarHistogramSpill: distributions ride beside the arena in a side
+// table, and the outcome — including the completeness rule cell.Hists.Fold
+// applies — must match folding the same sequence through Result.AddCell,
+// whether the partials arrive one by one or as a columnar gather.
 func TestColumnarHistogramSpill(t *testing.T) {
 	spec := cell.HistogramSpec{Lo: 0, Hi: 100, Buckets: 4}
-	histSummary := func(v float64) cell.Summary {
-		s := cell.NewSummary()
-		s.Observe("temperature", v)
-		if err := s.ObserveHist("temperature", v, spec); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	plain := cell.NewSummary()
-	plain.Observe("temperature", 10)
-
-	// Key 1: two complete hist-bearing partials (hist survives the merge).
-	// Key 2: a plain partial plus a hist-bearing one (scalar Merge drops the
-	// now-incomplete hist) — exercises the arena/spill split for one key.
-	seq := []struct {
+	type part struct {
 		k cell.Key
 		s cell.Summary
-	}{
-		{colKey(1), histSummary(20)},
-		{colKey(1), histSummary(60)},
-		{colKey(2), plain},
-		{colKey(2), histSummary(80)},
+		h *cell.Hists
+	}
+	histCell := func(k cell.Key, v float64) part {
+		p := part{k: k, h: new(cell.Hists)}
+		p.s.Observe(cell.Temperature, v)
+		if err := p.h.Observe(cell.Temperature, v, spec); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain := part{k: colKey(2)}
+	plain.s.Observe(cell.Temperature, 10)
+
+	// Key 1: two complete hist-bearing partials (the histogram survives).
+	// Key 2: a plain partial, then a hist-bearing one (incomplete: dropped).
+	// Key 3: a hist-bearing partial, then a plain one (now under-counting:
+	// dropped).
+	seq := []part{
+		histCell(colKey(1), 20), histCell(colKey(1), 60),
+		plain, histCell(colKey(2), 80),
+		histCell(colKey(3), 5), {k: colKey(3), s: plain.s},
 	}
 
 	want := NewResult()
-	c := GetColumnar()
-	for _, e := range seq {
-		want.Add(e.k, e.s)
-		c.AddSummary(e.k, e.s)
+	c, left, right := GetColumnar(), GetColumnar(), GetColumnar()
+	for i, e := range seq {
+		want.AddCell(e.k, e.s, e.h)
+		c.AddCell(e.k, &e.s, e.h)
+		if i%2 == 0 {
+			left.AddCell(e.k, &e.s, e.h)
+		} else {
+			right.AddCell(e.k, &e.s, e.h)
+		}
 	}
-	got := c.ToResult()
-	c.Release()
-
-	if got.Len() != want.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
-	}
-	for k, ws := range want.Cells {
-		gs := got.Cells[k]
-		for attr, w := range ws.Stats {
-			if g := gs.Stats[attr]; !g.ApproxEqual(w, 1e-9) {
-				t.Fatalf("key %v attr %q: got %+v want %+v", k, attr, g, w)
+	left.MergeColumnar(right)
+	right.Release()
+	for name, cr := range map[string]*ColumnarResult{"one by one": c, "gathered": left} {
+		got := cr.ToResult()
+		cr.Release()
+		sameCells(t, got, want, 1e-9)
+		if len(got.Hists) != len(want.Hists) {
+			t.Fatalf("%s: %d cells keep distributions, want %d", name, len(got.Hists), len(want.Hists))
+		}
+		for k, wh := range want.Hists {
+			gh := got.Hists[k].Hist("temperature")
+			if gh == nil || gh.Total() != wh.Hist("temperature").Total() {
+				t.Fatalf("%s: key %v hist: got %v want total %d", name, k, gh, wh.Hist("temperature").Total())
 			}
 		}
-		if len(gs.Hists) != len(ws.Hists) {
-			t.Fatalf("key %v: hist sets differ: got %d want %d", k, len(gs.Hists), len(ws.Hists))
-		}
-		for attr, wh := range ws.Hists {
-			if gh := gs.Hists[attr]; gh == nil || gh.Total() != wh.Total() {
-				t.Fatalf("key %v hist %q: got %v want total %d", k, attr, gh, wh.Total())
-			}
+		if h := got.Hists[colKey(1)].Hist("temperature"); h == nil || h.Total() != 2 {
+			t.Fatalf("%s: complete histogram did not survive the merge: %v", name, h)
 		}
 	}
-	if h := got.Cells[colKey(1)].Hists["temperature"]; h == nil || h.Total() != 2 {
-		t.Fatalf("complete histogram did not survive the spill merge: %v", h)
+	if seq[0].h.Hist("temperature").Total() != 1 {
+		t.Fatal("merging mutated an input's histogram set")
 	}
 }
 
@@ -169,7 +170,7 @@ func TestColumnarReleaseNoAliasing(t *testing.T) {
 	want := NewResult()
 	for i := 0; i < 50; i++ {
 		k, s := colKey(i), colSummary(rng)
-		c.AddSummary(k, s)
+		c.AddCell(k, &s, nil)
 		want.Add(k, s)
 	}
 	out := c.ToResult()
@@ -186,9 +187,9 @@ func TestColumnarReleaseNoAliasing(t *testing.T) {
 				for i := 0; i < 64; i++ {
 					// Disjoint poison value: any aliasing shows up as a
 					// corrupted stat below (and as a race under -race).
-					s := cell.NewSummary()
-					s.Observe("temperature", -1e9)
-					cc.AddSummary(colKey(lrng.Intn(200)), s)
+					s := cell.Summary{}
+					s.Observe(cell.Temperature, -1e9)
+					cc.AddCell(colKey(lrng.Intn(200)), &s, nil)
 				}
 				r := cc.ToResult()
 				cc.Release()
@@ -198,26 +199,17 @@ func TestColumnarReleaseNoAliasing(t *testing.T) {
 	}
 	wg.Wait()
 
-	if out.Len() != want.Len() {
-		t.Fatalf("released arena reachable: len = %d, want %d", out.Len(), want.Len())
-	}
-	for k, ws := range want.Cells {
-		gs := out.Cells[k]
-		for attr, w := range ws.Stats {
-			if g := gs.Stats[attr]; !g.ApproxEqual(w, 0) {
-				t.Fatalf("released arena reachable: key %v attr %q mutated to %+v (want %+v)", k, attr, g, w)
-			}
-		}
-	}
+	// Any difference means the released arena was still reachable.
+	sameCells(t, out, want, 0)
 }
 
 // TestPutResultDropsOversized: the pool must not retain maps past the size
 // cap, and pooled maps must come back empty.
 func TestPutResultDropsOversized(t *testing.T) {
-	r := GetResult()
+	r := GetResult(1)
 	r.Add(colKey(1), colSummary(rand.New(rand.NewSource(1))))
 	PutResult(r)
-	r2 := GetResult()
+	r2 := GetResult(1)
 	if r2.Len() != 0 {
 		t.Fatalf("pooled result not cleared: %d cells", r2.Len())
 	}
@@ -228,7 +220,7 @@ func TestPutResultDropsOversized(t *testing.T) {
 		big.Cells[cell.MustKey(fmt.Sprintf("g%06d", i), "2021-06-01", temporal.Day)] = cell.Summary{}
 	}
 	PutResult(big) // must be dropped, not pooled
-	r3 := GetResult()
+	r3 := GetResult(1)
 	if r3.Len() != 0 {
 		t.Fatalf("oversized map re-emerged from pool with %d cells", r3.Len())
 	}

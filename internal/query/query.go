@@ -402,12 +402,15 @@ func (c Coverage) String() string {
 // describes how much of the requested footprint the cells represent; see
 // Coverage for the partial-result contract.
 //
-// Summaries held by a Result are IMMUTABLE BY CONVENTION: they may be shared
-// with caches and other results, so holders must never mutate them. Add
-// enforces this on its own writes — merging into an existing entry clones
-// before merging — which keeps the hot path (first insert) allocation-free.
+// Summaries are plain values: a result owns its copies, and nothing a holder
+// does to one reaches a cache or another result. Hists is the side table of
+// per-cell distributions, nil unless the aggregation pipeline keeps
+// histograms; its sets ARE shared with caches and other results and are
+// immutable by convention — Add never folds into one it was handed, only into
+// a private clone.
 type Result struct {
 	Cells    map[cell.Key]cell.Summary
+	Hists    map[cell.Key]*cell.Hists
 	Coverage Coverage
 }
 
@@ -415,27 +418,69 @@ type Result struct {
 func NewResult() Result { return Result{Cells: map[cell.Key]cell.Summary{}} }
 
 // NewResultCap returns an empty result preallocated for n cells, for callers
-// (wire decoders, coalescer demux) that know the size up front and want to
-// avoid incremental map growth.
+// (wire decoders, the final materialization) that know the size up front and
+// want to avoid incremental map growth.
 func NewResultCap(n int) Result {
 	return Result{Cells: make(map[cell.Key]cell.Summary, n)}
 }
 
-// Add merges a summary into the result under the given key. The first
-// insert aliases s (do not mutate it afterwards); subsequent inserts for
-// the same key merge into a private clone, never into s or the original.
-func (r *Result) Add(k cell.Key, s cell.Summary) {
+// Add merges a summary into the result under the given key.
+func (r *Result) Add(k cell.Key, s cell.Summary) { r.AddCell(k, s, nil) }
+
+// AddCell merges a summary and the distributions kept beside it (nil for
+// none) into the result under the given key. The first insert aliases h;
+// later ones fold into a private clone, never into h or the set already
+// there.
+func (r *Result) AddCell(k cell.Key, s cell.Summary, h *cell.Hists) {
+	cur, ok := r.Cells[k]
+	if !ok {
+		r.Set(k, s, h)
+		return
+	}
+	cur.Merge(s)
+	if h == nil && r.Hists[k] == nil {
+		r.Cells[k] = cur
+		return
+	}
+	r.Set(k, cur, foldedHists(r.Hists[k], h, &cur))
+}
+
+// Set stores a cell under the key, replacing what was there. h is aliased; a
+// set that keeps no histogram is not stored.
+func (r *Result) Set(k cell.Key, s cell.Summary, h *cell.Hists) {
 	if r.Cells == nil {
 		r.Cells = map[cell.Key]cell.Summary{}
 	}
-	cur, ok := r.Cells[k]
-	if !ok {
-		r.Cells[k] = s
+	r.Cells[k] = s
+	if h != nil || r.Hists != nil {
+		putHists(&r.Hists, k, h)
+	}
+}
+
+// foldedHists returns the distributions of a cell after a partial whose
+// distributions are h merged into one whose distributions are cur, merged
+// being the merged summary: a private clone of cur with h folded in (see
+// cell.Hists.Fold for what survives). Neither input is touched.
+func foldedHists(cur, h *cell.Hists, merged *cell.Summary) *cell.Hists {
+	own := cur.Clone()
+	if own == nil {
+		own = new(cell.Hists)
+	}
+	own.Fold(h, merged)
+	return own
+}
+
+// putHists files h under k in a side table of distributions, making the table
+// on first use; a set that keeps no histogram is removed instead.
+func putHists(table *map[cell.Key]*cell.Hists, k cell.Key, h *cell.Hists) {
+	if h.None() {
+		delete(*table, k)
 		return
 	}
-	merged := cur.Clone()
-	merged.Merge(s)
-	r.Cells[k] = merged
+	if *table == nil {
+		*table = make(map[cell.Key]*cell.Hists, 4)
+	}
+	(*table)[k] = h
 }
 
 // Merge folds another result's cells into this one. Coverage is NOT merged:
@@ -443,7 +488,7 @@ func (r *Result) Add(k cell.Key, s cell.Summary) {
 // result, and sub-results carry none.
 func (r *Result) Merge(o Result) {
 	for k, s := range o.Cells {
-		r.Add(k, s)
+		r.AddCell(k, s, o.Hists[k])
 	}
 }
 

@@ -319,10 +319,10 @@ func TestResultAddMerge(t *testing.T) {
 	k1 := cell.MustKey("9q8y", "2015-02-02", temporal.Day)
 	k2 := cell.MustKey("9q8z", "2015-02-02", temporal.Day)
 
-	s1 := cell.NewSummary()
-	s1.Observe("temperature", 20)
-	s2 := cell.NewSummary()
-	s2.Observe("temperature", 30)
+	s1 := cell.Summary{}
+	s1.Observe(cell.Temperature, 20)
+	s2 := cell.Summary{}
+	s2.Observe(cell.Temperature, 30)
 
 	r := NewResult()
 	r.Add(k1, s1)
@@ -339,47 +339,66 @@ func TestResultAddMerge(t *testing.T) {
 	}
 
 	other := NewResult()
-	s3 := cell.NewSummary()
-	s3.Observe("temperature", -5)
+	s3 := cell.Summary{}
+	s3.Observe(cell.Temperature, -5)
 	other.Add(k1, s3)
 	r.Merge(other)
 	if got := r.Cells[k1].Count("temperature"); got != 3 {
 		t.Errorf("after merge k1 count = %d", got)
 	}
-	if st := r.Cells[k1].Stats["temperature"]; st.Min != -5 || st.Max != 30 {
+	if st := r.Cells[k1].Stats[cell.Temperature]; st.Min != -5 || st.Max != 30 {
 		t.Errorf("merged stat = %+v", st)
 	}
 }
 
 func TestResultAddMergeDoesNotMutateSources(t *testing.T) {
-	// Summaries in results are immutable-by-convention: when Add merges a
-	// second summary under the same key, neither source may be mutated —
-	// both could be aliased by caches or other results.
+	// Summaries are values, so a result cannot reach the ones it was handed;
+	// what IS shared is the histogram sets beside them. When Add merges a
+	// second cell under the same key, neither source set may be mutated —
+	// both could be held by caches or other results.
 	k := cell.MustKey("9q8y", "2015-02-02", temporal.Day)
-	s1 := cell.NewSummary()
-	s1.Observe("x", 1)
-	s2 := cell.NewSummary()
-	s2.Observe("x", 10)
+	spec := cell.HistogramSpec{Lo: 0, Hi: 100, Buckets: 4}
+	mk := func(v float64) (cell.Summary, *cell.Hists) {
+		var s cell.Summary
+		h := new(cell.Hists)
+		s.Observe(cell.Snow, v)
+		if err := h.Observe(cell.Snow, v, spec); err != nil {
+			t.Fatal(err)
+		}
+		return s, h
+	}
+	s1, h1 := mk(1)
+	s2, h2 := mk(10)
 
 	r := NewResult()
-	r.Add(k, s1)
-	r.Add(k, s2) // merge path: must clone, not mutate s1 or s2
-	if got := r.Cells[k].Count("x"); got != 2 {
+	r.AddCell(k, s1, h1)
+	r.AddCell(k, s2, h2) // merge path: must fold into a clone, not h1 or h2
+	if got := r.Cells[k].Count("snow"); got != 2 {
 		t.Errorf("merged count = %d, want 2", got)
 	}
-	if s1.Count("x") != 1 || s2.Count("x") != 1 {
-		t.Errorf("Add mutated source summaries: s1=%d s2=%d", s1.Count("x"), s2.Count("x"))
+	if got := r.Hists[k].Hist("snow"); got == nil || got.Total() != 2 {
+		t.Errorf("merged histogram = %+v, want total 2", got)
 	}
-	if st := s1.Stats["x"]; st.Max != 1 {
-		t.Errorf("s1 stat mutated: %+v", st)
+	if s1.Count("snow") != 1 || s2.Count("snow") != 1 {
+		t.Errorf("Add mutated source summaries: s1=%d s2=%d", s1.Count("snow"), s2.Count("snow"))
+	}
+	if h1.Hist("snow").Total() != 1 || h2.Hist("snow").Total() != 1 {
+		t.Errorf("Add mutated a source histogram set: h1=%d h2=%d", h1.Hist("snow").Total(), h2.Hist("snow").Total())
+	}
+
+	// A stats-only partial under the same key leaves the distribution
+	// under-counting: it is dropped, and the side table forgets the key.
+	r.Add(k, s1)
+	if _, kept := r.Hists[k]; kept {
+		t.Error("under-counting histogram set still in the side table")
 	}
 }
 
 func TestResultZeroValueUsable(t *testing.T) {
 	var r Result
 	k := cell.MustKey("9q8y", "2015-02-02", temporal.Day)
-	s := cell.NewSummary()
-	s.Observe("x", 1)
+	s := cell.Summary{}
+	s.Observe(cell.Snow, 1)
 	r.Add(k, s)
 	if r.Len() != 1 {
 		t.Error("zero-value result should accept Add")
@@ -391,12 +410,12 @@ func TestResultMergeCommutative(t *testing.T) {
 		k := cell.MustKey("9q8y", "2015-02-02", temporal.Day)
 		mk := func(vs []float64) Result {
 			r := NewResult()
-			s := cell.NewSummary()
+			s := cell.Summary{}
 			for _, v := range vs {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					v = 0
 				}
-				s.Observe("a", math.Mod(v, 1e6))
+				s.Observe(cell.Humidity, math.Mod(v, 1e6))
 			}
 			if !s.Empty() {
 				r.Add(k, s)
@@ -411,9 +430,9 @@ func TestResultMergeCommutative(t *testing.T) {
 			return false
 		}
 		sa, sb := a1.Cells[k], b2.Cells[k]
-		return sa.Count("a") == sb.Count("a") &&
-			sa.Stats["a"].Min == sb.Stats["a"].Min &&
-			sa.Stats["a"].Max == sb.Stats["a"].Max
+		return sa.Count("humidity") == sb.Count("humidity") &&
+			sa.Stats[cell.Humidity].Min == sb.Stats[cell.Humidity].Min &&
+			sa.Stats[cell.Humidity].Max == sb.Stats[cell.Humidity].Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -42,8 +42,8 @@ func (g *Graph) CliqueAt(root cell.Key, depth int) Clique {
 
 // lookupAllLocked finds a cell in its home stripe. Callers hold every stripe
 // lock (lockAll).
-func (g *Graph) lookupAllLocked(k cell.Key) *cell.Cell {
-	return g.stripeFor(k).lookup(k)
+func (g *Graph) lookupAllLocked(k cell.Key) *record {
+	return g.stripeFor(k).find(k)
 }
 
 func (g *Graph) cliqueLocked(root cell.Key, depth int) Clique {
@@ -85,15 +85,14 @@ func (g *Graph) TopCliques(depth, maxCells int) []Clique {
 
 	var candidates []Clique
 	for _, s := range g.stripes {
-		for lvl := range s.levels {
-			for k := range s.levels[lvl] {
-				if parent, ok := spatialParentKey(k); ok && g.lookupAllLocked(parent) != nil {
-					continue // covered by the parent's clique
-				}
-				cl := g.cliqueLocked(k, depth)
-				if cl.Size() > 0 && cl.Freshness > 0 {
-					candidates = append(candidates, cl)
-				}
+		for row := 0; row < s.n; row++ {
+			k := s.at(int32(row)).Key
+			if parent, ok := spatialParentKey(k); ok && g.lookupAllLocked(parent) != nil {
+				continue // covered by the parent's clique
+			}
+			cl := g.cliqueLocked(k, depth)
+			if cl.Size() > 0 && cl.Freshness > 0 {
+				candidates = append(candidates, cl)
 			}
 		}
 	}

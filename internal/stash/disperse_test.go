@@ -57,8 +57,8 @@ func referenceGet(g *Graph, keys []cell.Key) {
 	for _, k := range referenceBoostSet(keys) {
 		s := g.stripeFor(k)
 		s.mu.Lock()
-		if c := s.lookup(k); c != nil {
-			c.Disperse(tick, inc, g.decay)
+		if r := s.find(k); r != nil {
+			r.Disperse(tick, inc, g.decay)
 		}
 		s.mu.Unlock()
 	}
@@ -69,10 +69,9 @@ func freshnessState(g *Graph) map[cell.Key][3]uint64 {
 	out := map[cell.Key][3]uint64{}
 	for _, s := range g.stripes {
 		s.mu.Lock()
-		for lvl := range s.levels {
-			for k, c := range s.levels[lvl] {
-				out[k] = [3]uint64{math.Float64bits(c.Freshness), uint64(c.LastTouch), uint64(c.Accesses)}
-			}
+		for row := 0; row < s.n; row++ {
+			c := s.at(int32(row))
+			out[c.Key] = [3]uint64{math.Float64bits(c.Freshness), uint64(c.LastTouch), uint64(c.Accesses)}
 		}
 		s.mu.Unlock()
 	}
@@ -136,8 +135,8 @@ func populate(rng *rand.Rand, footprints [][]cell.Key, graphs ...*Graph) {
 		case 1:
 			empties = append(empties, k)
 		default:
-			s := cell.NewSummary()
-			s.Observe("x", rng.Float64())
+			s := cell.Summary{}
+			s.Observe(cell.Snow, rng.Float64())
 			res.Cells[k] = s
 		}
 	}
@@ -250,8 +249,8 @@ func TestGetBatchAllocsConstant(t *testing.T) {
 	resident := NewGraph(DefaultConfig())
 	res := query.NewResult()
 	for _, k := range keys {
-		s := cell.NewSummary()
-		s.Observe("x", 1)
+		s := cell.Summary{}
+		s.Observe(cell.Snow, 1)
 		res.Cells[k] = s
 	}
 	resident.Put(res)
@@ -282,13 +281,44 @@ func TestGetBatchAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestPutAllocsPerCell is the allocation gate on cache population: a record
+// is a row of a slab chunk, its summary stored in place, so inserting a
+// footprint into an empty graph allocates chunks and index tables — a small
+// fraction of an object per cell — where it used to allocate a cell and two
+// maps for each.
+func TestPutAllocsPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	const maxPerCell = 0.1
+	keys := ladderKeys(t)
+	res := query.NewResult()
+	for _, k := range keys {
+		res.Cells[k] = summaryWith(1)
+	}
+	NewGraph(DefaultConfig()).Put(res) // warm the scratch pool for this size
+	fresh := testing.AllocsPerRun(20, func() { NewGraph(DefaultConfig()) })
+	total := testing.AllocsPerRun(20, func() { NewGraph(DefaultConfig()).Put(res) })
+	perCell := (total - fresh) / float64(len(keys))
+	t.Logf("Put of %d cells into a fresh graph: %.0f allocations, %.3f per cell", len(keys), total-fresh, perCell)
+	if perCell > maxPerCell {
+		t.Errorf("Put allocates %.3f objects per cell, want <= %v", perCell, maxPerCell)
+	}
+	// Replacing resident cells allocates nothing at all.
+	g := NewGraph(DefaultConfig())
+	g.Put(res)
+	if again := testing.AllocsPerRun(20, func() { g.Put(res) }); again != 0 {
+		t.Errorf("re-Put of resident cells allocates %.1f objects, want 0", again)
+	}
+}
+
 func BenchmarkGetBatchWarm(b *testing.B) {
 	keys := ladderKeys(b)
 	g := NewGraph(DefaultConfig())
 	res := query.NewResult()
 	for _, k := range keys {
-		s := cell.NewSummary()
-		s.Observe("x", 1)
+		s := cell.Summary{}
+		s.Observe(cell.Snow, 1)
 		res.Cells[k] = s
 	}
 	g.Put(res)

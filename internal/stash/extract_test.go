@@ -64,7 +64,7 @@ func TestExtractPartitionsShipsNegativeCache(t *testing.T) {
 	g := newTestGraph()
 	empty := k("9q80")
 	r := resultWith()
-	r.Add(empty, cell.NewSummary())
+	r.Add(empty, cell.Summary{})
 	g.Put(r)
 
 	res := g.ExtractPartitions(2, map[geohash.Hash]bool{geohash.MustPack("9q"): true})

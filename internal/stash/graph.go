@@ -3,9 +3,10 @@
 // spatiotemporal cells (paper §IV, §V).
 //
 // One Graph instance is the per-node shard of the logical G_STASH =
-// (V, {E_H, E_L}). Vertices (Cells) are stored in per-level hash maps — the
-// paper's "map of distributed hash tables" — so locating a cell costs one
-// local map lookup per level. Edges are never materialized: hierarchical and
+// (V, {E_H, E_L}). Vertices (Cells) are records in per-stripe slabs behind one
+// flat key index each — the paper's "map of distributed hash tables" with the
+// level folded into the 16-byte key — so locating a cell costs one probe of a
+// small pointer-free table. Edges are never materialized: hierarchical and
 // lateral relationships are derived from the cell-key algebra in package
 // cell, the paper's "composable vertex discovery schemes".
 //
@@ -14,8 +15,8 @@
 // dispersion (§V-C) and the precision-level map (PLM) that tracks
 // completeness against the backing store (§IV-D).
 //
-// Concurrency: the store is hash-striped. Each stripe owns a private
-// per-level map set under its own mutex, so requests touching disjoint
+// Concurrency: the store is hash-striped. Each stripe owns a private record
+// slab and index under its own mutex, so requests touching disjoint
 // stripes proceed in parallel across a node's workers (memcached-style lock
 // striping). The replacement *policy* stays global — logical time, stats,
 // and the eviction trigger are process-wide atomics, and eviction ranks
@@ -101,15 +102,125 @@ type Stats struct {
 	Evictions int64 // cells evicted by replacement
 }
 
-// stripe is one hash shard of the store: a private per-level map set under
-// its own lock. A cell lives in exactly one stripe (chosen by key hash), so
-// holding the stripe lock protects both the maps and the freshness fields of
-// every resident *cell.Cell.
+// record is everything the graph keeps for one resident cell, in one place:
+// the cell (key, summary, freshness state), the PLM residency epoch — the
+// invalidation epoch that was current when the cell was last inserted, which
+// is what a later MarkStale is compared against — and the distributions kept
+// beside the summary, nil unless the pipeline maintains histograms.
+type record struct {
+	cell.Cell
+	epoch int64
+	hists *cell.Hists
+}
+
+// recChunk is the slab granule. Past its first rows a stripe's slab grows a
+// chunk of this many records at a time, so a large stripe never copies what
+// it holds (a chunk is under 6 KiB; a full stripe of a 200k-cell graph would
+// otherwise move megabytes under its lock).
+const (
+	recChunkBits = 5
+	recChunk     = 1 << recChunkBits
+)
+
+// stripe is one hash shard of the store under its own lock: a slab of records,
+// dense in rows [0, n), behind a key -> row index sized to the slab's
+// capacity. A cell lives in exactly one stripe (chosen by key hash), so
+// holding the stripe lock protects the index, the slab and every field of
+// every record in it.
+//
+// The slab is two-tier. The first rows live in head, one slice that is
+// regrown by copying — to exactly what the batch at hand needs — until it
+// reaches maxHead rows; rows past it live in fixed chunks. A 16-stripe
+// graph holding a few hundred cells is therefore a few dozen records per
+// stripe and pays for those, not for a chunk or two each: on the benchmark's
+// warm workloads (34 cells a stripe) chunks alone were 3.0 MB of slab for
+// 1.6 MB of records.
 type stripe struct {
-	mu     sync.Mutex
-	idx    int // position in Graph.stripes, for the per-stripe gauges
-	levels [cell.NumLevels]map[cell.Key]*cell.Cell
-	size   int
+	mu    sync.Mutex
+	idx   int // position in Graph.stripes, for the per-stripe gauges
+	index cell.Index
+	head  []record // rows [0, len(head)); len is its capacity in rows
+	slab  []*[recChunk]record
+	n     int
+}
+
+// capacity returns the rows the slab has room for.
+func (s *stripe) capacity() int { return len(s.head) + len(s.slab)*recChunk }
+
+// at returns the record in a row below capacity. Callers hold s.mu.
+func (s *stripe) at(row int32) *record {
+	if int(row) < len(s.head) {
+		return &s.head[row]
+	}
+	r := int(row) - len(s.head)
+	return &s.slab[r>>recChunkBits][r&(recChunk-1)]
+}
+
+// find returns k's record, or nil when k is not resident. Callers hold s.mu.
+func (s *stripe) find(k cell.Key) *record {
+	row, ok := s.index.Get(k)
+	if !ok {
+		return nil
+	}
+	return s.at(row)
+}
+
+// The head is allocated at minHead rows at least and regrown up to maxHead:
+// beyond that a copy under the stripe lock is no longer small change.
+const (
+	minHead = 8
+	maxHead = 2 * recChunk
+)
+
+// grow makes room for at least one more record; more is how many inserts the
+// batch at hand may still make (1 when unknown), which sizes a regrown head.
+func (s *stripe) grow(more int) {
+	if len(s.slab) == 0 && len(s.head) < maxHead {
+		head := make([]record, min(maxHead, max(s.n+more, 2*len(s.head), minHead)))
+		copy(head, s.head[:s.n])
+		s.head = head
+	} else {
+		s.slab = append(s.slab, new([recChunk]record))
+	}
+	s.index.Reserve(s.capacity())
+}
+
+// add makes k resident in a fresh zeroed record and returns it; more is as
+// for grow. Callers hold s.mu and have checked that k is absent.
+func (s *stripe) add(k cell.Key, more int) *record {
+	if s.n == s.capacity() {
+		s.grow(more)
+	}
+	row := int32(s.n)
+	s.index.GetOrInsert(k, row)
+	s.n++
+	r := s.at(row)
+	r.Key = k
+	return r
+}
+
+// drop removes k's record; the last row moves into the hole so the slab stays
+// dense, and chunks left wholly unused are released. It reports whether k was
+// resident. Callers hold s.mu.
+func (s *stripe) drop(k cell.Key) bool {
+	row, ok := s.index.Delete(k)
+	if !ok {
+		return false
+	}
+	s.n--
+	last := s.at(int32(s.n))
+	if int(row) != s.n {
+		*s.at(row) = *last
+		s.index.Set(last.Key, row)
+	}
+	*last = record{}
+	// One empty chunk stays as slack, so a stripe hovering at a chunk boundary
+	// does not allocate on every other insert.
+	if keep := (max(s.n-len(s.head), 0)+recChunk-1)>>recChunkBits + 1; keep < len(s.slab) {
+		s.slab[keep] = nil
+		s.slab = s.slab[:keep]
+	}
+	return true
 }
 
 // Graph is one node's shard of the STASH graph. It is safe for concurrent
@@ -168,10 +279,10 @@ func NewGraph(cfg Config) *Graph {
 		decay:   cell.ExpDecay(cfg.HalfLife),
 		stripes: make([]*stripe, n),
 		mask:    uint32(n - 1),
-		plm:     NewPLM(),
 		om:      metricsForTier(cfg.Tier),
 		gauges:  stripeGauges(cfg.Tier, n),
 	}
+	g.plm = &PLM{g: g}
 	for i := range g.stripes {
 		g.stripes[i] = &stripe{idx: i}
 	}
@@ -251,7 +362,7 @@ func (g *Graph) StripeLen(i int) int {
 	s := g.stripes[i]
 	g.lockStripe(s)
 	defer s.mu.Unlock()
-	return s.size
+	return s.n
 }
 
 // Stats returns a snapshot of the shard's counters.
@@ -273,9 +384,9 @@ func (g *Graph) PLM() *PLM {
 }
 
 // batchScratch is the working memory of one batched request: the stripe
-// grouping, the miss marks, and dispersion's membership set and boost list.
-// Requests borrow one from scratchPool, so a warm graph serves a batch
-// without allocating anything but the reply.
+// grouping, the miss marks, dispersion's membership set and boost list, and
+// derivation's pending inserts. Requests borrow one from scratchPool, so a warm
+// graph serves a batch without allocating anything but the reply.
 type batchScratch struct {
 	// Stripe grouping (group): key i hashes to stripe stripeOf[i]; the key
 	// indices of stripe s are order[start[s]:start[s+1]], in request order.
@@ -283,9 +394,11 @@ type batchScratch struct {
 	order    []int32
 	start    [maxStripes + 1]int32
 
-	missed []bool     // GetBatch: by key index, so missing keeps request order
-	keys   []cell.Key // Put: the result's keys; disperse: the boost list
-	seen   keySet     // disperse: requested or already boosted
+	missed []bool     // by key index, so the missing list keeps request order
+	keys   []cell.Key // Put: the result's keys; disperse: the boost list; evict: the victims
+	seen   cell.Index // disperse: requested or already boosted; derive: derived this batch
+	// DeriveBatch: the cells derived so far, inserted together at the end.
+	derived []derivedCell
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -296,8 +409,25 @@ const maxPooledScratchKeys = 1 << 16
 
 func putScratch(sc *batchScratch) {
 	if cap(sc.order) <= maxPooledScratchKeys && cap(sc.keys) <= maxPooledScratchKeys {
+		clear(sc.derived) // drop the histogram sets it points at
+		sc.derived = sc.derived[:0]
 		scratchPool.Put(sc)
 	}
+}
+
+// missing lists the keys marked in sc.missed, in request order; n is their
+// count.
+func (sc *batchScratch) missing(keys []cell.Key, n int) []cell.Key {
+	if n == 0 {
+		return nil
+	}
+	out := make([]cell.Key, 0, n)
+	for i, m := range sc.missed {
+		if m {
+			out = append(out, keys[i])
+		}
+	}
+	return out
 }
 
 // resized returns buf with length n, reallocating only when it is too small.
@@ -348,57 +478,6 @@ func (g *Graph) eachGroup(sc *batchScratch, fn func(s *stripe, idx []int32)) {
 	}
 }
 
-// keySet is an open-addressing set of cell keys. The zero Key, which is not
-// a valid cell, marks an empty slot.
-type keySet struct {
-	slots []cell.Key // power-of-two length
-	n     int
-}
-
-// reset empties the set and sizes it for a request of n keys: at the half
-// load add keeps to, room for the request plus as many boost candidates.
-func (s *keySet) reset(n int) {
-	want := 256
-	for want < 4*n {
-		want <<= 1
-	}
-	if cap(s.slots) < want {
-		s.slots = make([]cell.Key, want)
-	} else {
-		// Keep what a table grew by on earlier requests (a region with
-		// resident temporal neighbors queues several candidates per key, and
-		// regrowing on every request would reallocate), but not what one far
-		// larger request left behind: clearing is linear in the size kept.
-		s.slots = s.slots[:min(cap(s.slots), 4*want)]
-		clear(s.slots)
-	}
-	s.n = 0
-}
-
-// add inserts k and reports whether it was absent.
-func (s *keySet) add(k cell.Key) bool {
-	if 2*(s.n+1) > len(s.slots) {
-		old := s.slots
-		s.slots, s.n = make([]cell.Key, 2*len(old)), 0
-		for _, o := range old {
-			if o != (cell.Key{}) {
-				s.add(o)
-			}
-		}
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := k.Hash() & mask; ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case k:
-			return false
-		case cell.Key{}:
-			s.slots[i] = k
-			s.n++
-			return true
-		}
-	}
-}
-
 // GetBatch serves a region request from the cache: it returns the summaries
 // of every requested cell present (and fresh), and the list of missing keys
 // the caller must fetch from the backing store. Found cells are touched; if
@@ -406,12 +485,12 @@ func (s *keySet) add(k cell.Key) bool {
 // region receive their freshness share (paper §V-C2).
 //
 // Keys are grouped by stripe and each stripe lock is taken once per request,
-// not once per key.
+// not once per key. The reply's map comes from query's result pool, at the
+// first hit (a request that only misses gets the zero Result): a caller that
+// is done with it (the coordinator, once the cells are in its merge arena)
+// hands it back with query.PutResult, and one that keeps it just does.
 func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
-	// Pre-size for the all-hit steady state: this map becomes the node's
-	// reply (and the coordinator recycles it after its columnar merge), so
-	// incremental growth here is pure serve-path overhead.
-	res := query.NewResultCap(len(keys))
+	var res query.Result
 	if len(keys) == 0 {
 		return res, nil
 	}
@@ -422,13 +501,14 @@ func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
 	sc.missed = resized(sc.missed, len(keys))
 	clear(sc.missed)
 	nMiss := 0
+	stale := g.plm.blocks()
 	sc.group(g, keys)
 	g.eachGroup(sc, func(s *stripe, idx []int32) {
 		for _, i := range idx {
 			k := keys[i]
-			c := s.lookup(k)
-			if c == nil || g.plm.IsStale(k) {
-				if c != nil {
+			r := s.find(k)
+			if r == nil || stale.covers(k, r.epoch) {
+				if r != nil {
 					// Stale cell: drop it so the refetch replaces it.
 					g.removeLocked(s, k)
 				}
@@ -436,25 +516,19 @@ func (g *Graph) GetBatch(keys []cell.Key) (query.Result, []cell.Key) {
 				nMiss++
 				continue
 			}
-			c.Touch(tick, g.cfg.FreshInc, g.decay)
+			r.Touch(tick, g.cfg.FreshInc, g.decay)
 			// Negative-cached (empty) cells count as hits but add nothing
 			// to the result, matching the disk path's omission of dataless
 			// bins.
-			if !c.Summary.Empty() {
-				res.Add(k, c.Summary)
+			if !r.Summary.Empty() {
+				if res.Cells == nil {
+					res = query.GetResult(len(keys))
+				}
+				res.Set(k, r.Summary, r.hists)
 			}
 		}
 	})
-
-	var missing []cell.Key
-	if nMiss > 0 {
-		missing = make([]cell.Key, 0, nMiss)
-		for i, m := range sc.missed {
-			if m {
-				missing = append(missing, keys[i])
-			}
-		}
-	}
+	missing := sc.missing(keys, nMiss)
 
 	if g.cfg.Disperse {
 		g.disperse(sc, tick, keys)
@@ -498,9 +572,10 @@ func (g *Graph) disperse(sc *batchScratch, tick int64, keys []cell.Key) {
 	if !resident {
 		return
 	}
-	sc.seen.reset(len(keys))
+	// Room for the request and as many boost candidates without regrowing.
+	sc.seen.Reset(2 * len(keys))
 	for _, k := range keys {
-		sc.seen.add(k)
+		sc.seen.GetOrInsert(k, 0)
 	}
 	sc.keys = sc.keys[:0]
 	for _, k := range keys {
@@ -547,8 +622,8 @@ func (g *Graph) disperse(sc *batchScratch, tick int64, keys []cell.Key) {
 	sc.group(g, boost)
 	g.eachGroup(sc, func(s *stripe, idx []int32) {
 		for _, i := range idx {
-			if c := s.lookup(boost[i]); c != nil {
-				c.Disperse(tick, inc, g.decay)
+			if r := s.find(boost[i]); r != nil {
+				r.Disperse(tick, inc, g.decay)
 			}
 		}
 	})
@@ -557,7 +632,7 @@ func (g *Graph) disperse(sc *batchScratch, tick int64, keys []cell.Key) {
 // candidate queues k for a boost unless it was requested or is queued
 // already.
 func (sc *batchScratch) candidate(k cell.Key) {
-	if sc.seen.add(k) {
+	if _, fresh := sc.seen.GetOrInsert(k, 0); fresh {
 		sc.keys = append(sc.keys, k)
 	}
 }
@@ -568,11 +643,11 @@ func (g *Graph) Peek(k cell.Key) (cell.Summary, bool) {
 	s := g.stripeFor(k)
 	g.lockStripe(s)
 	defer s.mu.Unlock()
-	c := s.lookup(k)
-	if c == nil || g.plm.IsStale(k) {
+	r := s.find(k)
+	if r == nil || g.plm.blocks().covers(k, r.epoch) {
 		return cell.Summary{}, false
 	}
-	return c.Summary, true
+	return r.Summary, true
 }
 
 // Put inserts (or replaces) the cells of a fetch result, marking them fresh
@@ -591,8 +666,9 @@ func (g *Graph) Put(res query.Result) {
 		sc.keys = keys
 		sc.group(g, keys)
 		g.eachGroup(sc, func(s *stripe, idx []int32) {
-			for _, i := range idx {
-				g.insertLocked(s, keys[i], res.Cells[keys[i]], tick)
+			for j, i := range idx {
+				k := keys[i]
+				g.insertLocked(s, k, res.Cells[k], res.Hists[k], tick, len(idx)-j)
 			}
 		})
 		putScratch(sc)
@@ -609,9 +685,9 @@ func (g *Graph) PutEmpty(keys []cell.Key) {
 	sc := scratchPool.Get().(*batchScratch)
 	sc.group(g, keys)
 	g.eachGroup(sc, func(s *stripe, idx []int32) {
-		for _, i := range idx {
-			if s.lookup(keys[i]) == nil {
-				g.insertLocked(s, keys[i], cell.NewSummary(), tick)
+		for j, i := range idx {
+			if s.find(keys[i]) == nil {
+				g.insertLocked(s, keys[i], cell.Summary{}, nil, tick, len(idx)-j)
 			}
 		}
 	})
@@ -620,20 +696,19 @@ func (g *Graph) PutEmpty(keys []cell.Key) {
 	g.charge(len(keys))
 }
 
-// insertLocked inserts or replaces one cell. Callers hold s.mu; k hashes to s.
-func (g *Graph) insertLocked(s *stripe, k cell.Key, sum cell.Summary, tick int64) {
+// insertLocked inserts or replaces one cell: its record takes the summary by
+// value, shares the histogram set (immutable by convention, see query.Result)
+// and is stamped current in the PLM. more is how many inserts into s the
+// caller's batch may still make, this one included. Callers hold s.mu; k
+// hashes to s.
+func (g *Graph) insertLocked(s *stripe, k cell.Key, sum cell.Summary, hists *cell.Hists, tick int64, more int) {
 	lvl := k.Level()
 	if lvl < 0 || lvl >= cell.NumLevels {
 		return
 	}
-	if s.levels[lvl] == nil {
-		s.levels[lvl] = map[cell.Key]*cell.Cell{}
-	}
-	c, exists := s.levels[lvl][k]
-	if !exists {
-		c = cell.New(k)
-		s.levels[lvl][k] = c
-		s.size++
+	r := s.find(k)
+	if r == nil {
+		r = s.add(k, more)
 		g.size.Add(1)
 		g.levelLen[lvl].Add(1)
 		g.levelSpan[lvl].widen(k.Time.Bucket)
@@ -642,36 +717,19 @@ func (g *Graph) insertLocked(s *stripe, k cell.Key, sum cell.Summary, tick int64
 		g.om.cells.Add(1)
 		g.gauges[s.idx].Add(1)
 	}
-	// The graph aliases the inserted summary: results and caches share
-	// summaries under the immutable-by-convention rule (see query.Result).
-	c.Summary = sum
-	c.Touch(tick, g.cfg.FreshInc, g.decay)
-	g.plm.MarkPresent(k)
-}
-
-// lookup finds a cell within one stripe. Callers hold s.mu.
-func (s *stripe) lookup(k cell.Key) *cell.Cell {
-	lvl := k.Level()
-	if lvl < 0 || lvl >= cell.NumLevels || s.levels[lvl] == nil {
-		return nil
-	}
-	return s.levels[lvl][k]
+	r.Summary = sum
+	r.hists = hists
+	r.Touch(tick, g.cfg.FreshInc, g.decay)
+	r.epoch = g.plm.epoch.Load()
 }
 
 // removeLocked removes one cell. Callers hold s.mu; k hashes to s.
 func (g *Graph) removeLocked(s *stripe, k cell.Key) {
-	lvl := k.Level()
-	if lvl < 0 || lvl >= cell.NumLevels || s.levels[lvl] == nil {
-		return
-	}
-	if _, ok := s.levels[lvl][k]; ok {
-		delete(s.levels[lvl], k)
-		s.size--
+	if s.drop(k) {
 		g.size.Add(-1)
-		g.levelLen[lvl].Add(-1)
+		g.levelLen[k.Level()].Add(-1)
 		g.om.cells.Add(-1)
 		g.gauges[s.idx].Add(-1)
-		g.plm.MarkAbsent(k)
 	}
 }
 
@@ -691,15 +749,25 @@ func (g *Graph) Delete(k cell.Key) {
 // scores are snapshotted one stripe at a time, ranked globally so the
 // freshness ordering matches the single-lock graph exactly, then removed in
 // per-stripe batches — at most two lock acquisitions per stripe per pass.
+//
+// Equal scores rank by key. The cells of one Put share a score, so ties are
+// the rule, and without the key the victims among them would follow slab
+// order — that is, the map order the Put's result happened to iterate in.
 func (g *Graph) maybeEvict() {
-	if g.size.Load() <= int64(g.cfg.Capacity) {
-		return
+	// Re-check after every pass: a writer that lost the CAS while this pass
+	// was running has inserted and left, trusting the winner to see it.
+	for g.size.Load() > int64(g.cfg.Capacity) {
+		if !g.evicting.CompareAndSwap(false, true) {
+			return
+		}
+		g.evictPass()
+		g.evicting.Store(false)
 	}
-	if !g.evicting.CompareAndSwap(false, true) {
-		return
-	}
-	defer g.evicting.Store(false)
+}
 
+// evictPass drives the graph down to the safe limit once. The caller holds
+// the evicting flag.
+func (g *Graph) evictPass() {
 	target := int64(float64(g.cfg.Capacity) * g.cfg.SafeFraction)
 	need := g.size.Load() - target
 	if need <= 0 {
@@ -708,41 +776,45 @@ func (g *Graph) maybeEvict() {
 	tick := g.tick.Load()
 	type scored struct {
 		key   cell.Key
-		s     *stripe
 		score float64
 	}
 	all := make([]scored, 0, g.size.Load())
 	for _, s := range g.stripes {
 		g.lockStripe(s)
-		for lvl := range s.levels {
-			for k, c := range s.levels[lvl] {
-				all = append(all, scored{key: k, s: s, score: c.FreshnessAt(tick, g.decay)})
-			}
+		for row := 0; row < s.n; row++ {
+			r := s.at(int32(row))
+			all = append(all, scored{key: r.Key, score: r.FreshnessAt(tick, g.decay)})
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].score < all[j].score })
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].score != all[j].score {
+			return all[i].score < all[j].score
+		}
+		return all[i].key.Less(all[j].key)
+	})
 	if int64(len(all)) < need {
 		need = int64(len(all))
 	}
-	victims := all[:need]
 
 	// Group removals by stripe so each stripe lock is taken once.
-	byStripe := map[*stripe][]cell.Key{}
-	for _, v := range victims {
-		byStripe[v.s] = append(byStripe[v.s], v.key)
+	sc := scratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
+	victims := sc.keys[:0]
+	for _, v := range all[:need] {
+		victims = append(victims, v.key)
 	}
+	sc.keys = victims
 	evicted := int64(0)
-	for s, ks := range byStripe {
-		g.lockStripe(s)
-		for _, k := range ks {
-			if s.lookup(k) != nil {
-				g.removeLocked(s, k)
+	sc.group(g, victims)
+	g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
+			if s.find(victims[i]) != nil {
+				g.removeLocked(s, victims[i])
 				evicted++
 			}
 		}
-		s.mu.Unlock()
-	}
+	})
 	g.evictions.Add(evicted)
 	g.om.evictions.Add(evicted)
 }
@@ -753,11 +825,11 @@ func (g *Graph) Freshness(k cell.Key) (float64, bool) {
 	s := g.stripeFor(k)
 	g.lockStripe(s)
 	defer s.mu.Unlock()
-	c := s.lookup(k)
-	if c == nil {
+	r := s.find(k)
+	if r == nil {
 		return 0, false
 	}
-	return c.FreshnessAt(g.tick.Load(), g.decay), true
+	return r.FreshnessAt(g.tick.Load(), g.decay), true
 }
 
 // Keys returns every cached key at one level, in unspecified order.
@@ -768,8 +840,10 @@ func (g *Graph) Keys(level int) []cell.Key {
 	out := make([]cell.Key, 0, g.levelLen[level].Load())
 	for _, s := range g.stripes {
 		g.lockStripe(s)
-		for k := range s.levels[level] {
-			out = append(out, k)
+		for row := 0; row < s.n; row++ {
+			if k := s.at(int32(row)).Key; k.Level() == level {
+				out = append(out, k)
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -785,12 +859,29 @@ func (g *Graph) Snapshot(keys []cell.Key) query.Result {
 	sc.group(g, keys)
 	g.eachGroup(sc, func(s *stripe, idx []int32) {
 		for _, i := range idx {
-			if c := s.lookup(keys[i]); c != nil {
-				res.Add(keys[i], c.Summary)
+			if r := s.find(keys[i]); r != nil {
+				res.Set(keys[i], r.Summary, r.hists)
 			}
 		}
 	})
 	return res
+}
+
+// sweep removes every resident cell that doomed selects, stripe by stripe
+// under the stripe's lock. doomed may read the record (to ship it, say) but
+// not keep the pointer: the row is reused as soon as it returns true.
+func (g *Graph) sweep(doomed func(r *record) bool) {
+	for _, s := range g.stripes {
+		g.lockStripe(s)
+		for row := 0; row < s.n; {
+			if r := s.at(int32(row)); doomed(r) {
+				g.removeLocked(s, r.Key) // the last row moves here: look again
+			} else {
+				row++
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // ExtractPartitions removes and returns every resident cell that belongs to
@@ -802,31 +893,27 @@ func (g *Graph) Snapshot(keys []cell.Key) query.Result {
 // untouched here. Negative-cache entries (empty summaries) are extracted too:
 // on the new owner they keep sparse regions from re-scanning disk.
 //
-// Removal goes through the PLM (MarkAbsent), so the old owner honestly
-// misses on these keys after the freeze lifts.
+// The removed cells' records are gone, so the old owner honestly misses on
+// these keys after the freeze lifts.
 func (g *Graph) ExtractPartitions(prefixLen int, moved map[geohash.Hash]bool) query.Result {
 	res := query.NewResult()
 	if len(moved) == 0 {
 		return res
 	}
-	for _, s := range g.stripes {
-		g.lockStripe(s)
-		for lvl := range s.levels {
-			for k, c := range s.levels[lvl] {
-				if k.Geohash.Len() < prefixLen || !moved[k.Geohash.Prefix(prefixLen)] {
-					continue
-				}
-				// A stale cell (invalidated by ingest, not yet lazily
-				// evicted) is removed but never shipped: the new owner's PLM
-				// would mark it fresh on insert, laundering stale data.
-				if !g.plm.IsStale(k) {
-					res.Add(k, c.Summary)
-				}
-				g.removeLocked(s, k)
-			}
+	stale := g.plm.blocks()
+	g.sweep(func(r *record) bool {
+		k := r.Key
+		if k.Geohash.Len() < prefixLen || !moved[k.Geohash.Prefix(prefixLen)] {
+			return false
 		}
-		s.mu.Unlock()
-	}
+		// A stale cell (invalidated by ingest, not yet lazily evicted) is
+		// removed but never shipped: the new owner's PLM would mark it
+		// fresh on insert, laundering stale data.
+		if !stale.covers(k, r.epoch) {
+			res.Set(k, r.Summary, r.hists)
+		}
+		return true
+	})
 	return res
 }
 
@@ -842,28 +929,20 @@ func (g *Graph) DropCoarsePartials(prefixLen int, changed map[geohash.Hash]bool)
 	if len(changed) == 0 {
 		return 0
 	}
-	extendsChanged := func(gh geohash.Hash) bool {
+	dropped := 0
+	g.sweep(func(r *record) bool {
+		gh := r.Key.Geohash
+		if gh.Len() >= prefixLen {
+			return false
+		}
 		for p := range changed {
 			if p.HasPrefix(gh) {
+				dropped++
 				return true
 			}
 		}
 		return false
-	}
-	dropped := 0
-	for _, s := range g.stripes {
-		g.lockStripe(s)
-		for lvl := range s.levels {
-			for k := range s.levels[lvl] {
-				if k.Geohash.Len() >= prefixLen || !extendsChanged(k.Geohash) {
-					continue
-				}
-				g.removeLocked(s, k)
-				dropped++
-			}
-		}
-		s.mu.Unlock()
-	}
+	})
 	return dropped
 }
 
@@ -884,130 +963,114 @@ func (g *Graph) DeriveFromChildren(k cell.Key) (cell.Summary, bool) {
 	return res.Cells[k], true
 }
 
-// deriveCandidate is one (parent, child-cover) derivation attempt.
-type deriveCandidate struct {
-	parent   int // index into the request's key slice
-	children []cell.Key
+// derivedCell is a cell DeriveBatch computed and has yet to insert.
+type derivedCell struct {
+	key   cell.Key
+	sum   cell.Summary
+	hists *cell.Hists
 }
 
-// DeriveBatch attempts child-cover derivation for a batch of missing keys in
-// three stripe-grouped stages: (1) plan candidate child covers from level
-// occupancy and key algebra alone, with no locks held; (2) fetch every
-// needed child summary, taking each stripe lock once for the whole batch;
-// (3) merge covers per parent and batch-insert the derived cells. It
-// returns the derived result plus the keys still unresolved, in request
-// order. Derived cells are resident afterwards, exactly as with the
-// single-key path.
+// foldCover merges a complete child cover into out: child i of n is
+// child(i), and every one must be resident and fresh. It walks the children
+// by key arithmetic — no child list exists — and reads each record under its
+// stripe's lock. ok is false at the first child that is absent or stale.
+func (g *Graph) foldCover(stale staleBlocks, n int, child func(i int) cell.Key, out *derivedCell) (ok bool) {
+	var sum cell.Summary
+	var hists cell.Hists
+	for i := 0; i < n; i++ {
+		ck := child(i)
+		s := g.stripeFor(ck)
+		g.lockStripe(s)
+		r := s.find(ck)
+		if r == nil || stale.covers(ck, r.epoch) {
+			s.mu.Unlock()
+			return false
+		}
+		sum.Merge(r.Summary)
+		if r.hists != nil || !hists.None() {
+			hists.Fold(r.hists, &sum)
+		}
+		s.mu.Unlock()
+	}
+	out.sum, out.hists = sum, nil
+	if !hists.None() {
+		kept := hists // only a cover that keeps distributions allocates
+		out.hists = &kept
+	}
+	return true
+}
+
+// DeriveBatch attempts child-cover derivation for a batch of missing keys.
+// Each parent is planned from level occupancy alone (a cover that cannot be
+// complete is never walked), its children are visited by key arithmetic and
+// folded into a summary on the stack — the spatial cover first, the temporal
+// one if that fails — and the derived cells are then batch-inserted under one
+// tick, stripe by stripe. It returns the derived result plus the keys still
+// unresolved, in request order. Derived cells are resident afterwards, exactly
+// as with the single-key path.
 func (g *Graph) DeriveBatch(keys []cell.Key) (query.Result, []cell.Key) {
-	res := query.NewResult()
+	var res query.Result
 	if len(keys) == 0 {
 		return res, nil
 	}
-
-	// Stage 1: plan. Check child-level occupancy from level arithmetic alone
-	// before materializing any child keys.
-	var cands []deriveCandidate
-	for i, k := range keys {
-		if k.Geohash.Len() < cell.MaxSpatialPrecision {
-			childLvl := int(k.Time.Res)*cell.MaxSpatialPrecision + k.Geohash.Len()
-			if g.levelLen[childLvl].Load() >= int64(geohash.BranchFactor) {
-				if children, ok := k.SpatialChildren(); ok {
-					cands = append(cands, deriveCandidate{parent: i, children: children})
-				}
-			}
-		}
-		if finer, ok := k.Time.Res.Finer(); ok {
-			childLvl := int(finer)*cell.MaxSpatialPrecision + k.Geohash.Len() - 1
-			if g.levelLen[childLvl].Load() > 0 {
-				if children, ok := k.TemporalChildren(); ok {
-					cands = append(cands, deriveCandidate{parent: i, children: children})
-				}
-			}
-		}
-	}
-	if len(cands) == 0 {
-		return res, keys
-	}
-
-	// Stage 2: fetch. Union the child keys of every candidate and read their
-	// summaries with one lock acquisition per stripe. Summaries are shared
-	// by value under the immutable-by-convention rule, so reading them under
-	// the stripe lock and merging after release is safe.
-	var lookups []cell.Key
-	seen := map[cell.Key]bool{}
-	for _, c := range cands {
-		for _, ck := range c.children {
-			if !seen[ck] {
-				seen[ck] = true
-				lookups = append(lookups, ck)
-			}
-		}
-	}
-	got := make(map[cell.Key]cell.Summary, len(lookups))
 	sc := scratchPool.Get().(*batchScratch)
 	defer putScratch(sc)
-	sc.group(g, lookups)
-	g.eachGroup(sc, func(s *stripe, idx []int32) {
-		for _, i := range idx {
-			ck := lookups[i]
-			if c := s.lookup(ck); c != nil && !g.plm.IsStale(ck) {
-				got[ck] = c.Summary
-			}
+	sc.missed = resized(sc.missed, len(keys))
+	clear(sc.missed)
+	sc.seen.Reset(0)
+	stale := g.plm.blocks()
+	nMiss := 0
+	for i, k := range keys {
+		if _, done := sc.seen.Get(k); done {
+			continue // a repeat of a parent derived earlier in this batch
 		}
-	})
-
-	// Stage 3: merge complete covers and batch-insert the derived cells.
-	derived := map[cell.Key]cell.Summary{}
-	for _, c := range cands {
-		k := keys[c.parent]
-		if _, done := derived[k]; done {
-			continue // spatial cover already succeeded for this parent
+		d := derivedCell{key: k}
+		ok := false
+		sres := k.Geohash.Len()
+		if sres >= 1 && sres < cell.MaxSpatialPrecision && k.Time.Res.Valid() &&
+			g.levelLen[k.Level()+1].Load() >= geohash.BranchFactor {
+			ok = g.foldCover(stale, geohash.BranchFactor, func(i int) cell.Key {
+				return cell.Key{Geohash: k.Geohash.Child(i), Time: k.Time}
+			}, &d)
 		}
-		sum := cell.NewSummary()
-		ok := true
-		for _, ck := range c.children {
-			cs, present := got[ck]
-			if !present {
-				ok = false
-				break
-			}
-			sum.Merge(cs)
+		if first, n, finer := k.Time.ChildRange(); !ok && finer && sres >= 1 && sres <= cell.MaxSpatialPrecision &&
+			g.levelLen[k.Level()+cell.MaxSpatialPrecision].Load() > 0 {
+			ok = g.foldCover(stale, n, func(i int) cell.Key {
+				return cell.Key{Geohash: k.Geohash, Time: temporal.Label{Res: first.Res, Bucket: first.Bucket + int32(i)}}
+			}, &d)
 		}
-		if ok {
-			derived[k] = sum
+		if !ok {
+			sc.missed[i] = true
+			nMiss++
+			continue
 		}
+		sc.seen.GetOrInsert(k, 0)
+		sc.derived = append(sc.derived, d)
 	}
-	if len(derived) > 0 {
+
+	if derived := sc.derived; len(derived) > 0 {
 		tick := g.tick.Add(1)
-		ins := make([]cell.Key, 0, len(derived))
-		for k := range derived {
-			ins = append(ins, k)
-		}
-		sc.group(g, ins)
-		g.eachGroup(sc, func(s *stripe, idx []int32) {
-			for _, i := range idx {
-				g.insertLocked(s, ins[i], derived[ins[i]], tick)
-			}
-		})
-		for k, sum := range derived {
+		ins := sc.keys[:0]
+		for _, d := range derived {
+			ins = append(ins, d.key)
 			// A parent derived from all-empty children is a legitimate
-			// negative-cache entry (inserted above), but it must not appear
+			// negative-cache entry (inserted below), but it must not appear
 			// in the served result: the disk path omits dataless bins, and
 			// GetBatch skips negative hits the same way.
-			if !sum.Empty() {
-				res.Add(k, sum)
+			if !d.sum.Empty() {
+				res.Set(d.key, d.sum, d.hists)
 			}
 		}
+		sc.keys = ins
+		sc.group(g, ins)
+		g.eachGroup(sc, func(s *stripe, idx []int32) {
+			for j, i := range idx {
+				g.insertLocked(s, ins[i], derived[i].sum, derived[i].hists, tick, len(idx)-j)
+			}
+		})
 		g.maybeEvict()
 	}
-
-	var unresolved []cell.Key
-	for _, k := range keys {
-		if _, ok := derived[k]; !ok {
-			unresolved = append(unresolved, k)
-		}
-	}
-	return res, unresolved
+	return res, sc.missing(keys, nMiss)
 }
 
 func (g *Graph) charge(cells int) {

@@ -18,8 +18,8 @@ var day = temporal.MustParse("2015-02-02", temporal.Day)
 func k(gh string) cell.Key { return cell.Key{Geohash: geohash.MustPack(gh), Time: day} }
 
 func summaryWith(v float64) cell.Summary {
-	s := cell.NewSummary()
-	s.Observe("temperature", v)
+	s := cell.Summary{}
+	s.Observe(cell.Temperature, v)
 	return s
 }
 
@@ -87,7 +87,7 @@ func TestPutReplacesSummary(t *testing.T) {
 	g.Put(r)
 
 	found, _ := g.GetBatch([]cell.Key{key})
-	if got := found.Cells[key].Stats["temperature"].Max; got != 99 {
+	if got := found.Cells[key].Stats[cell.Temperature].Max; got != 99 {
 		t.Errorf("summary not replaced: max = %v", got)
 	}
 	if g.Len() != 1 {
@@ -459,7 +459,7 @@ func TestDeriveFromSpatialChildren(t *testing.T) {
 	if got := sum.Count("temperature"); got != 32 {
 		t.Errorf("derived count = %d, want 32", got)
 	}
-	if st := sum.Stats["temperature"]; st.Min != 0 || st.Max != 31 {
+	if st := sum.Stats[cell.Temperature]; st.Min != 0 || st.Max != 31 {
 		t.Errorf("derived stat = %+v", st)
 	}
 	// Derived cell must now be resident.

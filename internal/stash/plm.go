@@ -18,12 +18,16 @@ type BlockRef struct {
 	Day    temporal.Label
 }
 
-// staleBlock is a BlockRef with its prefix packed, the form the overlap test
-// compares cell keys against.
+// staleBlock is an invalidated block: its prefix packed, the form the overlap
+// test compares cell keys against, and the epoch of the invalidation.
 type staleBlock struct {
 	prefix geohash.Hash
 	day    temporal.Label
+	epoch  int64
 }
+
+// staleBlocks is an immutable snapshot of the stale-block table.
+type staleBlocks []staleBlock
 
 // pack converts a block reference for the stale table. An unparseable prefix
 // packs to the zero Hash, which prefixes every geohash: such an invalidation
@@ -33,103 +37,72 @@ func (b BlockRef) pack() staleBlock {
 	return staleBlock{prefix: h, day: b.Day}
 }
 
-// PLM is the precision-level map (paper §IV-D): a memory-resident bitmap
-// that associates the cells held in memory at each level with the backing
-// data blocks, and tracks which blocks have been invalidated by updates so
-// stale summaries are recomputed on next access.
+// PLM is the precision-level map (paper §IV-D): it associates the cells held
+// in memory at each level with the backing data blocks, and tracks which
+// blocks have been invalidated by updates so stale summaries are recomputed
+// on next access.
 //
-// Staleness is epoch-based: marking a block stale stamps it with the current
-// epoch, and a cell is stale only if it became resident BEFORE an
-// overlapping block's invalidation. A cell recomputed after the update is
-// therefore immediately current, while the block record keeps invalidating
-// other, not-yet-recomputed cells.
+// Residency is not a second table: a cell is present exactly when its graph
+// has a record for it, and the record carries the residency epoch. What the
+// PLM itself holds is the epoch counter and the stale-block table, published
+// as an immutable snapshot so the hit path reads it without a lock.
 //
-// The zero value is not ready; use NewPLM. PLM is safe for concurrent use.
+// Staleness is epoch-based: marking a block stale advances the epoch and
+// stamps the block with it, and a cell is stale only if it became resident
+// BEFORE an overlapping block's invalidation. A cell recomputed after the
+// update is therefore immediately current, while the block record keeps
+// invalidating other, not-yet-recomputed cells.
+//
+// A PLM belongs to the Graph that made it and is safe for concurrent use.
 type PLM struct {
-	mu      sync.Mutex
-	epoch   int64
-	present [cell.NumLevels]map[cell.Key]int64
-	stale   map[staleBlock]int64
-	// staleN mirrors len(stale) atomically so the hot read path (IsStale on
-	// every cache hit, called under a graph stripe lock) skips the PLM mutex
-	// entirely whenever no invalidation is outstanding — the overwhelmingly
-	// common case.
-	staleN atomic.Int64
+	g     *Graph
+	mu    sync.Mutex   // serializes writers of the stale table
+	epoch atomic.Int64 // advanced by MarkStale, stamped on inserted records
+	stale atomic.Pointer[staleBlocks]
 }
 
-// NewPLM returns an empty precision-level map.
-func NewPLM() *PLM {
-	return &PLM{stale: map[staleBlock]int64{}}
-}
-
-// MarkPresent records that a cell is resident in memory and current as of
-// now.
-func (p *PLM) MarkPresent(k cell.Key) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lvl := k.Level()
-	if lvl < 0 || lvl >= cell.NumLevels {
-		return
+// blocks returns the current stale-block snapshot (nil when nothing is
+// invalidated — the overwhelmingly common case, and a single atomic load).
+func (p *PLM) blocks() staleBlocks {
+	if b := p.stale.Load(); b != nil {
+		return *b
 	}
-	if p.present[lvl] == nil {
-		p.present[lvl] = map[cell.Key]int64{}
-	}
-	p.epoch++
-	p.present[lvl][k] = p.epoch
+	return nil
 }
 
-// MarkAbsent records that a cell left memory.
-func (p *PLM) MarkAbsent(k cell.Key) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lvl := k.Level()
-	if lvl < 0 || lvl >= cell.NumLevels || p.present[lvl] == nil {
-		return
-	}
-	delete(p.present[lvl], k)
-}
-
-// Present reports whether a cell is resident (regardless of staleness).
-func (p *PLM) Present(k cell.Key) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lvl := k.Level()
-	if lvl < 0 || lvl >= cell.NumLevels || p.present[lvl] == nil {
-		return false
-	}
-	_, ok := p.present[lvl][k]
-	return ok
-}
-
-// Missing filters the given footprint to the keys not resident (or resident
-// but stale) — the PLM's core job: identifying precisely which chunks a
-// query evaluation still needs from the backing store.
-func (p *PLM) Missing(keys []cell.Key) []cell.Key {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []cell.Key
-	for _, k := range keys {
-		lvl := k.Level()
-		if lvl < 0 || lvl >= cell.NumLevels || p.present[lvl] == nil {
-			out = append(out, k)
+// covers reports whether any invalidation newer than cellEpoch overlaps the
+// cell.
+func (bs staleBlocks) covers(k cell.Key, cellEpoch int64) bool {
+	for _, b := range bs {
+		if b.epoch <= cellEpoch {
 			continue
 		}
-		epoch, ok := p.present[lvl][k]
-		if !ok || p.isStaleLocked(k, epoch) {
-			out = append(out, k)
+		// Spatial overlap: one geohash must prefix the other.
+		if (k.Geohash.HasPrefix(b.prefix) || b.prefix.HasPrefix(k.Geohash)) && k.Time.Overlaps(b.day) {
+			return true
+		}
+	}
+	return false
+}
+
+// publish installs a new stale table. Callers hold p.mu.
+func (p *PLM) publish(bs staleBlocks) {
+	if len(bs) == 0 {
+		p.stale.Store(nil)
+		return
+	}
+	p.stale.Store(&bs)
+}
+
+// without returns a copy of the table with every record of the block removed.
+func (bs staleBlocks) without(b staleBlock) staleBlocks {
+	out := make(staleBlocks, 0, len(bs)+1)
+	for _, e := range bs {
+		if e.prefix != b.prefix || e.day != b.day {
+			out = append(out, e)
 		}
 	}
 	return out
-}
-
-// Completeness returns the fraction of the given footprint resident and
-// fresh in memory, in [0,1]. An empty footprint is complete.
-func (p *PLM) Completeness(keys []cell.Key) float64 {
-	if len(keys) == 0 {
-		return 1
-	}
-	missing := len(p.Missing(keys))
-	return float64(len(keys)-missing) / float64(len(keys))
 }
 
 // MarkStale records that a backing block changed: every cell resident
@@ -140,12 +113,9 @@ func (p *PLM) Completeness(keys []cell.Key) float64 {
 func (p *PLM) MarkStale(b BlockRef) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.epoch++
 	sb := b.pack()
-	if _, exists := p.stale[sb]; !exists {
-		p.staleN.Add(1)
-	}
-	p.stale[sb] = p.epoch
+	sb.epoch = p.epoch.Add(1)
+	p.publish(append(p.blocks().without(sb), sb))
 }
 
 // ClearStale drops a block's invalidation record (e.g. once every affected
@@ -153,51 +123,66 @@ func (p *PLM) MarkStale(b BlockRef) {
 func (p *PLM) ClearStale(b BlockRef) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sb := b.pack()
-	if _, exists := p.stale[sb]; exists {
-		p.staleN.Add(-1)
-	}
-	delete(p.stale, sb)
+	p.publish(p.blocks().without(b.pack()))
 }
 
 // StaleCount returns the number of currently invalidated blocks.
-func (p *PLM) StaleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.stale)
+func (p *PLM) StaleCount() int { return len(p.blocks()) }
+
+// Present reports whether a cell is resident (regardless of staleness).
+func (p *PLM) Present(k cell.Key) bool {
+	s := p.g.stripeFor(k)
+	p.g.lockStripe(s)
+	defer s.mu.Unlock()
+	return s.find(k) != nil
 }
 
 // IsStale reports whether the cell is resident but invalidated by a later
 // block update. Non-resident cells are not stale (they are just absent).
-// With no outstanding invalidations the check is a single atomic load.
 func (p *PLM) IsStale(k cell.Key) bool {
-	if p.staleN.Load() == 0 {
+	stale := p.blocks()
+	if stale == nil {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lvl := k.Level()
-	if lvl < 0 || lvl >= cell.NumLevels || p.present[lvl] == nil {
-		return false
-	}
-	epoch, ok := p.present[lvl][k]
-	if !ok {
-		return false
-	}
-	return p.isStaleLocked(k, epoch)
+	s := p.g.stripeFor(k)
+	p.g.lockStripe(s)
+	defer s.mu.Unlock()
+	r := s.find(k)
+	return r != nil && stale.covers(k, r.epoch)
 }
 
-// isStaleLocked reports whether any invalidation newer than cellEpoch
-// overlaps the cell. Callers hold p.mu.
-func (p *PLM) isStaleLocked(k cell.Key, cellEpoch int64) bool {
-	for b, blockEpoch := range p.stale {
-		if blockEpoch <= cellEpoch {
-			continue
-		}
-		// Spatial overlap: one geohash must prefix the other.
-		if (k.Geohash.HasPrefix(b.prefix) || b.prefix.HasPrefix(k.Geohash)) && k.Time.Overlaps(b.day) {
-			return true
-		}
+// Missing filters the given footprint to the keys not resident (or resident
+// but stale), in request order — the PLM's core job: identifying precisely
+// which chunks a query evaluation still needs from the backing store. It
+// reads the same records GetBatch serves from, so the two always agree.
+func (p *PLM) Missing(keys []cell.Key) []cell.Key {
+	if len(keys) == 0 {
+		return nil
 	}
-	return false
+	sc := scratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
+	sc.missed = resized(sc.missed, len(keys))
+	clear(sc.missed)
+	nMiss := 0
+	stale := p.blocks()
+	sc.group(p.g, keys)
+	p.g.eachGroup(sc, func(s *stripe, idx []int32) {
+		for _, i := range idx {
+			if r := s.find(keys[i]); r == nil || stale.covers(keys[i], r.epoch) {
+				sc.missed[i] = true
+				nMiss++
+			}
+		}
+	})
+	return sc.missing(keys, nMiss)
+}
+
+// Completeness returns the fraction of the given footprint resident and
+// fresh in memory, in [0,1]. An empty footprint is complete.
+func (p *PLM) Completeness(keys []cell.Key) float64 {
+	if len(keys) == 0 {
+		return 1
+	}
+	missing := len(p.Missing(keys))
+	return float64(len(keys)-missing) / float64(len(keys))
 }

@@ -1,6 +1,7 @@
 package stash
 
 import (
+	"fmt"
 	"testing"
 
 	"stash/internal/cell"
@@ -8,25 +9,40 @@ import (
 	"stash/internal/temporal"
 )
 
+// plmGraph is a graph and its PLM. Residency is the graph's records, so a
+// test makes a cell present by inserting it and absent by deleting it.
+type plmGraph struct {
+	*PLM
+	g *Graph
+}
+
+func newPLMGraph() plmGraph {
+	g := newTestGraph()
+	return plmGraph{PLM: g.PLM(), g: g}
+}
+
+func (p plmGraph) MarkPresent(key cell.Key) { p.g.Put(resultWith(key)) }
+func (p plmGraph) MarkAbsent(key cell.Key)  { p.g.Delete(key) }
+
 func TestPLMPresence(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	key := k("9q8")
 	if p.Present(key) {
 		t.Error("fresh PLM reports presence")
 	}
 	p.MarkPresent(key)
 	if !p.Present(key) {
-		t.Error("marked key not present")
+		t.Error("inserted key not present")
 	}
 	p.MarkAbsent(key)
 	if p.Present(key) {
-		t.Error("unmarked key still present")
+		t.Error("deleted key still present")
 	}
 	p.MarkAbsent(key) // idempotent
 }
 
 func TestPLMMissing(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	a, b, c := k("9q8"), k("9q9"), k("9qb")
 	p.MarkPresent(a)
 	p.MarkPresent(c)
@@ -37,7 +53,7 @@ func TestPLMMissing(t *testing.T) {
 }
 
 func TestPLMCompleteness(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	keys := []cell.Key{k("9q8"), k("9q9"), k("9qb"), k("9qc")}
 	if got := p.Completeness(keys); got != 0 {
 		t.Errorf("empty PLM completeness = %v", got)
@@ -54,7 +70,7 @@ func TestPLMCompleteness(t *testing.T) {
 }
 
 func TestPLMStaleSpatialOverlap(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	fine := k("9q8y7") // inside block prefix 9q
 	coarse := k("9")   // encloses block prefix 9q
 	other := k("u4p")  // disjoint from 9q
@@ -75,7 +91,7 @@ func TestPLMStaleSpatialOverlap(t *testing.T) {
 }
 
 func TestPLMStaleTemporalOverlap(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	sameDay := k("9q8")
 	otherDay := cell.Key{Geohash: geohash.MustPack("9q8"), Time: temporal.MustParse("2015-02-03", temporal.Day)}
 	month := cell.Key{Geohash: geohash.MustPack("9q8"), Time: temporal.MustParse("2015-02", temporal.Month)}
@@ -100,7 +116,7 @@ func TestPLMStaleTemporalOverlap(t *testing.T) {
 }
 
 func TestPLMClearStale(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	b := BlockRef{Prefix: "9q", Day: day}
 	p.MarkStale(b)
 	if p.StaleCount() != 1 {
@@ -113,7 +129,7 @@ func TestPLMClearStale(t *testing.T) {
 }
 
 func TestPLMMissingIncludesStale(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	key := k("9q8")
 	p.MarkPresent(key)
 	p.MarkStale(BlockRef{Prefix: "9q", Day: day})
@@ -127,7 +143,7 @@ func TestPLMMissingIncludesStale(t *testing.T) {
 // block invalidation is immediately current, while the invalidation record
 // keeps flagging cells resident from before it.
 func TestPLMEpochSemantics(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	old, fresh := k("9q1"), k("9q2")
 	p.MarkPresent(old)
 	p.MarkStale(BlockRef{Prefix: "9q", Day: day})
@@ -151,9 +167,57 @@ func TestPLMEpochSemantics(t *testing.T) {
 }
 
 func TestPLMNonResidentNeverStale(t *testing.T) {
-	p := NewPLM()
+	p := newPLMGraph()
 	p.MarkStale(BlockRef{Prefix: "9q", Day: day})
 	if p.IsStale(k("9q1")) {
 		t.Error("absent cell reported stale")
+	}
+}
+
+// TestPLMAgreesWithGetBatch pins the residency-epoch semantics end to end on
+// one graph: a cell inserted before MarkStale is stale, one re-inserted after
+// it is current, a negative-cache entry follows the same rule, and
+// Missing/Completeness report exactly the keys GetBatch then misses.
+func TestPLMAgreesWithGetBatch(t *testing.T) {
+	for _, stripes := range []int{1, 16} {
+		cfg := DefaultConfig()
+		cfg.Stripes = stripes
+		g := NewGraph(cfg)
+		before, refetched, after, empty, absent := k("9q1"), k("9q2"), k("9q3"), k("9q4"), k("9q5")
+		elsewhere := k("u4p")
+		g.Put(resultWith(before, refetched, elsewhere))
+		g.PutEmpty([]cell.Key{empty})
+		g.PLM().MarkStale(BlockRef{Prefix: "9q", Day: day})
+		g.Put(resultWith(refetched, after)) // recomputed after the update
+
+		keys := []cell.Key{before, refetched, after, empty, absent, elsewhere}
+		for key, want := range map[cell.Key]bool{before: true, refetched: false, after: false, empty: true, absent: false, elsewhere: false} {
+			if got := g.PLM().IsStale(key); got != want {
+				t.Errorf("stripes=%d: IsStale(%v) = %v, want %v", stripes, key, got, want)
+			}
+		}
+		wantMissing := []cell.Key{before, empty, absent}
+		missing := g.PLM().Missing(keys)
+		if fmt.Sprint(missing) != fmt.Sprint(wantMissing) {
+			t.Errorf("stripes=%d: Missing = %v, want %v", stripes, missing, wantMissing)
+		}
+		if got := g.PLM().Completeness(keys); got != 0.5 {
+			t.Errorf("stripes=%d: Completeness = %v, want 0.5", stripes, got)
+		}
+		if !g.PLM().Present(before) {
+			t.Errorf("stripes=%d: Missing must not evict the stale cell it reports", stripes)
+		}
+		_, missed := g.GetBatch(keys)
+		if fmt.Sprint(missed) != fmt.Sprint(wantMissing) {
+			t.Errorf("stripes=%d: GetBatch missed %v, the PLM said %v", stripes, missed, wantMissing)
+		}
+		// GetBatch dropped the stale cells on the way; the PLM still calls
+		// them missing, now as absent ones.
+		if g.PLM().Present(before) || g.PLM().Present(empty) {
+			t.Errorf("stripes=%d: stale cells still resident after GetBatch missed them", stripes)
+		}
+		if again := g.PLM().Missing(keys); fmt.Sprint(again) != fmt.Sprint(wantMissing) {
+			t.Errorf("stripes=%d: Missing after the get = %v, want %v", stripes, again, wantMissing)
+		}
 	}
 }

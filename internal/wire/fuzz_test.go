@@ -134,8 +134,8 @@ func FuzzKeyTextRoundTrip(f *testing.F) {
 		if back, err := DecodeKeysDelta(EncodeKeysDelta(keys)); err != nil || len(back) != 2 || back[0] != k || back[1] != k {
 			t.Fatalf("delta round trip of %v: %v, %v", k, back, err)
 		}
-		s := cell.NewSummary()
-		s.Observe("x", 1)
+		s := cell.Summary{}
+		s.Observe(cell.Snow, 1)
 		r := query.NewResult()
 		r.Add(k, s)
 		enc := EncodeResult(r)
@@ -148,6 +148,45 @@ func FuzzKeyTextRoundTrip(f *testing.F) {
 		}
 		if _, ok := back.Cells[k]; !ok {
 			t.Fatalf("result round trip lost %v: %v", k, back.Cells)
+		}
+	})
+}
+
+// FuzzResultDecode feeds arbitrary bytes to the result decoder. It must never
+// panic; whatever it accepts holds only valid keys, and re-encodes to a
+// payload of exactly ResultSize bytes that decodes to the same cells. The
+// seeds are valid results plus the summaries no encoder emits: unknown,
+// empty, repeated and surplus attribute names, negative and zero counts.
+func FuzzResultDecode(f *testing.F) {
+	f.Add(EncodeResult(query.NewResult()))
+	f.Add(EncodeResult(sampleResult(1, 1)))
+	f.Add(EncodeResult(sampleResult(9, 2)))
+	for _, p := range foreignAttrPayloads() {
+		f.Add(p.payload)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		for k := range res.Cells {
+			if _, err := cell.KeyOf(k.Geohash, k.Time); err != nil {
+				t.Fatalf("decoder accepted invalid key %v: %v", k, err)
+			}
+		}
+		re := EncodeResult(res)
+		if len(re) != ResultSize(res) {
+			t.Fatalf("ResultSize = %d, encoding is %d bytes", ResultSize(res), len(re))
+		}
+		back, err := DecodeResult(re)
+		if err != nil || len(back.Cells) != len(res.Cells) {
+			t.Fatalf("re-encoding of accepted input does not decode: %v", err)
+		}
+		for k, s := range res.Cells {
+			// Compare encodings, not values: a NaN stat is not == itself.
+			if got := back.Cells[k]; !bytes.Equal(appendSummary(nil, &got), appendSummary(nil, &s)) {
+				t.Fatalf("round trip changed %v: %+v -> %+v", k, s, got)
+			}
 		}
 	})
 }

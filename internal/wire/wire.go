@@ -13,8 +13,9 @@
 //	Summary := nattrs uvarint | (name string | count varint |
 //	           sum f64 | min f64 | max f64)*
 //
-// Attributes are encoded in sorted order, so equal results encode to equal
-// bytes.
+// Attributes travel by name, in name order and only when observed (count > 0),
+// so equal results encode to equal bytes; a decoder rejects a name outside the
+// cell schema, or one that repeats.
 //
 // Key lists additionally have a delta form (version 2) built for coalesced
 // fetch batches: geohashes are encoded as a shared-prefix length against the
@@ -31,9 +32,9 @@
 // packed labels straight into the buffer and the decoder packs them straight
 // from the payload bytes (geohash.PackBytes, temporal.ParseBytes).
 //
-// The hot encode/decode paths are allocation-frugal: encode buffers and
-// decoder scratch are pooled (GetBuf/PutBuf and an internal reader pool) and
-// attribute names are interned per decoder.
+// The hot encode/decode paths are allocation-frugal: encode buffers are
+// pooled (GetBuf/PutBuf), attribute names resolve to schema indices without
+// becoming strings, and a decoded summary lands in its map slot by value.
 package wire
 
 import (
@@ -101,7 +102,7 @@ func AppendResult(dst []byte, r query.Result) []byte {
 	var lt labelText
 	for k, s := range r.Cells {
 		dst = lt.appendKey(dst, k)
-		dst = appendSummary(dst, s)
+		dst = appendSummary(dst, &s)
 	}
 	return dst
 }
@@ -143,12 +144,23 @@ func (lt *labelText) keyLen(k cell.Key) int {
 	return 1 + k.Geohash.Len() + len(lt.of(k.Time))
 }
 
-func appendSummary(dst []byte, s cell.Summary) []byte {
-	attrs := s.Attrs()
-	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
-	for _, a := range attrs {
-		st := s.Stats[a]
-		dst = appendString(dst, a)
+// observed counts the attributes a summary carries on the wire.
+func observed(s *cell.Summary) (n int) {
+	for a := range s.Stats {
+		if s.Stats[a].Count > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func appendSummary(dst []byte, s *cell.Summary) []byte {
+	dst = append(dst, byte(observed(s))) // a one-byte uvarint: at most cell.NumAttrs
+	for a, st := range s.Stats {
+		if st.Count == 0 {
+			continue
+		}
+		dst = appendString(dst, cell.Attr(a).String())
 		dst = binary.AppendVarint(dst, st.Count)
 		dst = appendFloat(dst, st.Sum)
 		dst = appendFloat(dst, st.Min)
@@ -172,10 +184,11 @@ func ResultSize(r query.Result) int {
 	n := 2 + uvarintLen(uint64(len(r.Cells)))
 	var lt labelText
 	for k, s := range r.Cells {
-		n += lt.keyLen(k)
-		n += uvarintLen(uint64(len(s.Stats)))
+		n += lt.keyLen(k) + 1
 		for a, st := range s.Stats {
-			n += stringLen(a) + varintLen(st.Count) + 24
+			if st.Count > 0 {
+				n += stringLen(cell.Attr(a).String()) + varintLen(st.Count) + 24
+			}
 		}
 	}
 	return n
@@ -183,37 +196,10 @@ func ResultSize(r query.Result) int {
 
 // --- decoding ---
 
-// maxInterned bounds the per-reader intern map; a reader whose table grew
-// past this is not worth pooling the map of.
-const maxInterned = 4096
-
-// reader is the pooled decode scratch: the cursor plus an intern table that
-// survives between decodes. Attribute names repeat across the cells of a
-// result (and across results), so interning them turns their string
-// allocations in DecodeResult into map hits.
+// reader is the decode cursor.
 type reader struct {
 	b   []byte
 	pos int
-	// intern dedupes repeated strings (attribute names).
-	intern map[string]string
-}
-
-var readerPool = sync.Pool{New: func() any { return &reader{} }}
-
-// getReader leases a pooled reader positioned at the start of b.
-func getReader(b []byte) *reader {
-	r := readerPool.Get().(*reader)
-	r.b, r.pos = b, 0
-	return r
-}
-
-// putReader returns a reader to the pool, dropping an oversized table.
-func putReader(r *reader) {
-	r.b = nil
-	if len(r.intern) > maxInterned {
-		r.intern = nil
-	}
-	readerPool.Put(r)
 }
 
 func (r *reader) uvarint() (uint64, error) {
@@ -253,26 +239,6 @@ func (r *reader) lenBytes() ([]byte, error) {
 	return r.bytes(int(n))
 }
 
-// internStr reads a length-prefixed string through the reader's intern table:
-// a string seen before costs a map probe (the map[string] lookup on a []byte
-// key compiles allocation-free), a new one is allocated once and remembered.
-// Use it for strings that repeat across elements (attribute names).
-func (r *reader) internStr() (string, error) {
-	b, err := r.lenBytes()
-	if err != nil {
-		return "", err
-	}
-	if s, ok := r.intern[string(b)]; ok {
-		return s, nil
-	}
-	s := string(b)
-	if r.intern == nil {
-		r.intern = make(map[string]string, 16)
-	}
-	r.intern[s] = s
-	return s, nil
-}
-
 // label reads a temporal label: its resolution byte and length-prefixed text.
 func (r *reader) label() (temporal.Label, error) {
 	res, err := r.byte1()
@@ -306,13 +272,11 @@ func (r *reader) byte1() (byte, error) {
 	return b[0], nil
 }
 
-// DecodeResult decodes an encoded result. Cell keys are validated, so a
-// decoded result is structurally safe to insert into a graph. Decoder
-// scratch (cursor, attribute-name intern table) comes from a pool, so
-// repeated decodes of similar results allocate only the result itself.
+// DecodeResult decodes an encoded result. Cell keys and attribute names are
+// validated, so a decoded result is structurally safe to insert into a graph.
+// A decode allocates the result map and nothing per cell.
 func DecodeResult(b []byte) (query.Result, error) {
-	r := getReader(b)
-	defer putReader(r)
+	r := &reader{b: b}
 	m, err := r.byte1()
 	if err != nil || m != magic {
 		return query.Result{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -363,37 +327,43 @@ func decodeKey(r *reader) (cell.Key, error) {
 	return k, nil
 }
 
-func decodeSummary(r *reader) (cell.Summary, error) {
+func decodeSummary(r *reader) (s cell.Summary, err error) {
 	n, err := r.uvarint()
-	if err != nil || n > 1024 {
-		return cell.Summary{}, ErrCorrupt
+	if err != nil || n > cell.NumAttrs {
+		return cell.Summary{}, fmt.Errorf("%w: %d attributes in a schema of %d", ErrCorrupt, n, cell.NumAttrs)
 	}
-	s := cell.Summary{Stats: make(map[string]cell.Stat, n)}
+	var seen [cell.NumAttrs]bool
 	for i := uint64(0); i < n; i++ {
-		name, err := r.internStr()
+		name, err := r.lenBytes()
 		if err != nil {
 			return cell.Summary{}, err
 		}
-		count, err := r.varint()
-		if err != nil {
+		a, ok := cell.AttrByName(string(name))
+		if !ok || seen[a] {
+			return cell.Summary{}, fmt.Errorf("%w: unknown or repeated attribute %q", ErrCorrupt, name)
+		}
+		seen[a] = true
+		st := &s.Stats[a]
+		if st.Count, err = r.varint(); err != nil {
 			return cell.Summary{}, err
 		}
-		sum, err := r.float()
-		if err != nil {
+		if st.Sum, err = r.float(); err != nil {
 			return cell.Summary{}, err
 		}
-		min, err := r.float()
-		if err != nil {
+		if st.Min, err = r.float(); err != nil {
 			return cell.Summary{}, err
 		}
-		max, err := r.float()
-		if err != nil {
+		if st.Max, err = r.float(); err != nil {
 			return cell.Summary{}, err
 		}
-		if count < 0 {
+		switch {
+		case st.Count < 0:
 			return cell.Summary{}, fmt.Errorf("%w: negative count", ErrCorrupt)
+		case st.Count == 0:
+			// The map-backed summaries this format predates could carry a
+			// zero-count entry; it means "not observed".
+			*st = cell.Stat{}
 		}
-		s.Stats[name] = cell.Stat{Count: count, Sum: sum, Min: min, Max: max}
 	}
 	return s, nil
 }
@@ -426,8 +396,7 @@ func DecodeKeys(b []byte) ([]cell.Key, error) {
 // path can reuse one slice across requests. On error the returned slice is
 // dst unchanged.
 func DecodeKeysInto(dst []cell.Key, b []byte) ([]cell.Key, error) {
-	r := getReader(b)
-	defer putReader(r)
+	r := &reader{b: b}
 	m, err := r.byte1()
 	if err != nil || m != magic {
 		return dst, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -528,8 +497,7 @@ func DecodeKeysDelta(b []byte) ([]cell.Key, error) {
 // temporal label), so corrupt prefixes and suffixes are rejected rather than
 // propagated. On error the returned slice is dst unchanged.
 func DecodeKeysDeltaInto(dst []cell.Key, b []byte) ([]cell.Key, error) {
-	r := getReader(b)
-	defer putReader(r)
+	r := &reader{b: b}
 	m, err := r.byte1()
 	if err != nil || m != magic {
 		return dst, fmt.Errorf("%w: bad magic", ErrCorrupt)

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +11,6 @@ import (
 
 	"stash/internal/cell"
 	"stash/internal/geohash"
-	"stash/internal/namgen"
 	"stash/internal/query"
 	"stash/internal/temporal"
 )
@@ -23,10 +25,10 @@ func sampleResult(nCells int, seed int64) query.Result {
 		for j := 0; j < 4; j++ {
 			gh += string("0123456789bcdefghjkmnpqrstuvwxyz"[rng.Intn(32)])
 		}
-		s := cell.NewSummary()
-		for _, attr := range namgen.Attributes {
+		s := cell.Summary{}
+		for a := range s.Stats {
 			for k := 0; k < 1+rng.Intn(3); k++ {
-				s.Observe(attr, rng.NormFloat64()*20)
+				s.Observe(cell.Attr(a), rng.NormFloat64()*20)
 			}
 		}
 		r.Add(cell.Key{Geohash: geohash.MustPack(gh), Time: day}, s)
@@ -45,14 +47,8 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatalf("cells: %d != %d", got.Len(), want.Len())
 	}
 	for k, ws := range want.Cells {
-		gs, ok := got.Cells[k]
-		if !ok {
-			t.Fatalf("missing key %v", k)
-		}
-		for attr, wst := range ws.Stats {
-			if gst := gs.Stats[attr]; gst != wst {
-				t.Fatalf("key %v attr %s: %+v != %+v", k, attr, gst, wst)
-			}
+		if gs, ok := got.Cells[k]; !ok || gs != ws {
+			t.Fatalf("key %v: %+v (present %v) != %+v", k, gs, ok, ws)
 		}
 	}
 }
@@ -76,11 +72,11 @@ func TestResultSizeExact(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	// Map iteration order must not leak into sizes; and a single cell's
-	// encoding must be byte-stable (attributes sorted).
+	// encoding must be byte-stable (attributes in name order).
 	r := query.NewResult()
-	s := cell.NewSummary()
-	s.Observe("zeta", 1)
-	s.Observe("alpha", 2)
+	s := cell.Summary{}
+	s.Observe(cell.Temperature, 1)
+	s.Observe(cell.Humidity, 2)
 	r.Add(cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}, s)
 	b1 := EncodeResult(r)
 	b2 := EncodeResult(r)
@@ -158,6 +154,107 @@ func TestDecodeRejectsInvalidKey(t *testing.T) {
 	}
 }
 
+// TestResultGoldenBytes holds the encoding of single-cell results to the
+// bytes the map-backed summaries produced (recorded at the parent commit):
+// attributes by name in name order, only those observed. The byte format is
+// what the transport charges for and what files hold, so the fixed schema
+// must not move it.
+func TestResultGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		k     cell.Key
+		build func(s *cell.Summary)
+		want  string
+	}{
+		{cell.MustKey("9q8y", "2015-02-02", temporal.Day), func(s *cell.Summary) {
+			s.Observe(cell.Temperature, 21.5)
+			s.Observe(cell.Temperature, -3.25)
+			s.Observe(cell.Humidity, 0.5)
+			s.Observe(cell.Precipitation, 0)
+			s.Observe(cell.Snow, 1.75)
+		}, "c501010439713879020a323031352d30322d3032040868756d696469747902000000000000e03f000000000000e03f000000000000e03f0d70726563697069746174696f6e0200000000000000000000000000000000000000000000000004736e6f7702000000000000fc3f000000000000fc3f000000000000fc3f0b74656d70657261747572650400000000004032400000000000000ac00000000000803540"},
+		{cell.MustKey("u4pruydq", "2015-02-02T13", temporal.Hour), func(s *cell.Summary) {
+			s.Observe(cell.Snow, 2)
+		}, "c50101087534707275796471030d323031352d30322d30325431330104736e6f7702000000000000004000000000000000400000000000000040"},
+		{cell.MustKey("d", "2015", temporal.Year), func(s *cell.Summary) {
+			for i := 0; i < 300; i++ {
+				s.Observe(cell.Humidity, float64(i)/300)
+				s.Observe(cell.Temperature, float64(i)-150)
+			}
+		}, "c501010164000432303135020868756d6964697479d8040100000000b062400000000000000000e5174b7eb1e4ef3f0b74656d7065726174757265d8040000000000c062c00000000000c062c00000000000a06240"},
+	} {
+		var s cell.Summary
+		tc.build(&s)
+		r := query.NewResult()
+		r.Add(tc.k, s)
+		if got := hex.EncodeToString(EncodeResult(r)); got != tc.want {
+			t.Errorf("%v encodes to\n%s\nthe format is\n%s", tc.k, got, tc.want)
+		}
+		want, _ := hex.DecodeString(tc.want)
+		if back, err := DecodeResult(want); err != nil || back.Cells[tc.k] != s {
+			t.Errorf("%v: golden bytes decode to %+v, %v", tc.k, back.Cells[tc.k], err)
+		}
+	}
+}
+
+// TestDecodeRejectsForeignAttributes: a name outside the cell schema, or one
+// that repeats within a cell, is a corrupt payload — there is nowhere to put
+// it. A zero count (which the map-backed summaries could emit) decodes as
+// "not observed".
+func TestDecodeRejectsForeignAttributes(t *testing.T) {
+	for _, tc := range foreignAttrPayloads() {
+		got, err := DecodeResult(tc.payload)
+		if tc.ok {
+			if err != nil || len(got.Cells) != 1 {
+				t.Errorf("%s: %v, %d cells", tc.name, err, len(got.Cells))
+			}
+			for _, s := range got.Cells {
+				if !s.Empty() {
+					t.Errorf("%s: decoded to %+v, want an empty summary", tc.name, s)
+				}
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+type attrPayload struct {
+	name    string
+	payload []byte
+	ok      bool
+}
+
+// foreignAttrPayloads hand-builds one-cell results whose summaries the
+// encoder would never emit.
+func foreignAttrPayloads() []attrPayload {
+	cellWith := func(nattrs byte, attrs ...[]byte) []byte {
+		b := []byte{magic, version, 1, 4}
+		b = append(b, "9q8y"...)
+		b = append(append(b, byte(temporal.Day), 10), "2015-02-02"...)
+		b = append(b, nattrs)
+		for _, a := range attrs {
+			b = append(b, a...)
+		}
+		return b
+	}
+	attr := func(name string, count int64) []byte {
+		b := appendString(nil, name)
+		b = binary.AppendVarint(b, count)
+		return append(b, make([]byte, 24)...)
+	}
+	return []attrPayload{
+		{"unknown name", cellWith(1, attr("wind", 1)), false},
+		{"unknown name beside a known one", cellWith(2, attr("snow", 1), attr("x", 1)), false},
+		{"empty name", cellWith(1, attr("", 1)), false},
+		{"repeated name", cellWith(2, attr("snow", 1), attr("snow", 2)), false},
+		{"more attributes than the schema", cellWith(5, attr("humidity", 1), attr("precipitation", 1), attr("snow", 1), attr("temperature", 1), attr("snow", 1)), false},
+		{"negative count", cellWith(1, attr("snow", -1)), false},
+		{"zero count", cellWith(1, attr("snow", 0)), true},
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := sampleResult(int(n%64), seed)
@@ -174,14 +271,14 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestFloatEdgeCases(t *testing.T) {
 	r := query.NewResult()
-	s := cell.NewSummary()
-	s.Stats["x"] = cell.Stat{Count: 1, Sum: math.Inf(1), Min: -math.MaxFloat64, Max: math.MaxFloat64}
+	s := cell.Summary{}
+	s.Stats[cell.Snow] = cell.Stat{Count: 1, Sum: math.Inf(1), Min: -math.MaxFloat64, Max: math.MaxFloat64}
 	r.Add(cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}, s)
 	got, err := DecodeResult(EncodeResult(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := got.Cells[cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}].Stats["x"]
+	st := got.Cells[cell.Key{Geohash: geohash.MustPack("9q8y"), Time: day}].Stats[cell.Snow]
 	if !math.IsInf(st.Sum, 1) || st.Min != -math.MaxFloat64 {
 		t.Errorf("float extremes mangled: %+v", st)
 	}

@@ -145,14 +145,17 @@ type Result = query.Result
 // CellKey identifies one cell: a geohash plus a temporal label.
 type CellKey = cell.Key
 
-// Summary is the mergeable per-attribute aggregate payload of a cell.
+// Summary is the mergeable per-attribute aggregate payload of a cell: a
+// 128-byte value with one Stat per attribute of the fixed schema (Attributes).
+// Read an attribute by name with Summary.Stat or Summary.Count.
 type Summary = cell.Summary
 
 // Stat is one attribute's count/sum/min/max aggregate.
 type Stat = cell.Stat
 
-// Histogram is a mergeable fixed-bucket distribution, optionally carried by
-// cells when Config.Histograms is set (drives histogram panels).
+// Histogram is a mergeable fixed-bucket distribution, kept beside the cell
+// summaries when Config.Histograms is set (drives histogram panels):
+// Result.Hists[key].Hist(attribute), nil when none is kept.
 type Histogram = cell.Histogram
 
 // --- system assembly ---

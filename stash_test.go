@@ -219,8 +219,8 @@ func TestPublicAPIHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, s := range res.Cells {
-		if h := s.Hist("temperature"); h != nil {
+	for k := range res.Cells {
+		if h := res.Hists[k].Hist("temperature"); h != nil {
 			found = true
 			if h.Quantile(0.5) < h.Lo || h.Quantile(0.5) > h.Hi {
 				t.Error("median outside histogram bounds")
